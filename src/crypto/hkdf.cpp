@@ -1,19 +1,50 @@
 #include "crypto/hkdf.h"
 
+#include <algorithm>
+#include <array>
+
 #include "common/error.h"
-#include "crypto/hmac.h"
 
 namespace vkey::crypto {
 
+void hkdf_extract(std::span<const std::uint8_t> salt,
+                  std::span<const std::uint8_t> ikm,
+                  std::span<std::uint8_t, Sha256::kDigestSize> prk) {
+  static constexpr std::array<std::uint8_t, Sha256::kDigestSize> kZeroSalt{};
+  const HmacKey key(salt.empty() ? std::span<const std::uint8_t>(kZeroSalt)
+                                 : salt);
+  Sha256 inner = key.start();
+  inner.update(ikm);
+  key.finish(inner, prk);
+}
+
 SecretBuffer hkdf_extract(std::span<const std::uint8_t> salt,
                           std::span<const std::uint8_t> ikm) {
-  const std::vector<std::uint8_t> zero_salt(
-      salt.empty() ? Sha256::kDigestSize : 0, 0);
-  auto prk = hmac_sha256(
-      salt.empty() ? std::span<const std::uint8_t>(zero_salt) : salt, ikm);
-  auto out = SecretBuffer::copy_of(prk);
-  secure_wipe(prk.data(), prk.size());
-  return out;
+  auto prk = SecretBuffer::zeros(Sha256::kDigestSize);
+  hkdf_extract(salt, ikm, prk.expose_mut().first<Sha256::kDigestSize>());
+  return prk;
+}
+
+void hkdf_expand(const HmacKey& prk, std::span<const std::uint8_t> info,
+                 std::span<std::uint8_t> out) {
+  VKEY_REQUIRE(!out.empty() && out.size() <= 255 * Sha256::kDigestSize,
+               "HKDF output length out of range");
+  // T(i) = HMAC(PRK, T(i-1) || info || i), with T(0) empty.
+  std::array<std::uint8_t, Sha256::kDigestSize> t{};
+  std::size_t t_len = 0;
+  std::uint8_t counter = 1;
+  for (std::size_t pos = 0; pos < out.size(); ++counter) {
+    Sha256 inner = prk.start();
+    inner.update(t.data(), t_len);
+    inner.update(info);
+    inner.update(&counter, 1);
+    prk.finish(inner, t);
+    t_len = t.size();
+    const std::size_t take = std::min(t.size(), out.size() - pos);
+    std::copy_n(t.begin(), take, out.begin() + pos);
+    pos += take;
+  }
+  secure_wipe(t.data(), t.size());
 }
 
 SecretBuffer hkdf_expand(const SecretBuffer& prk,
@@ -23,30 +54,9 @@ SecretBuffer hkdf_expand(const SecretBuffer& prk,
                "PRK must be at least one hash block");
   VKEY_REQUIRE(length >= 1 && length <= 255 * Sha256::kDigestSize,
                "HKDF output length out of range");
-  std::vector<std::uint8_t> okm;
-  okm.reserve(length + Sha256::kDigestSize);
-  std::vector<std::uint8_t> block;
-  std::size_t t_len = 0;  // bytes of T(i-1) at the front of `block`
-  std::uint8_t counter = 1;
-  while (okm.size() < length) {
-    // block = T(i-1) || info || counter
-    block.resize(t_len);
-    block.insert(block.end(), info.begin(), info.end());
-    block.push_back(counter++);
-    auto digest = hmac_sha256(prk, std::span<const std::uint8_t>(block));
-    secure_wipe(block);
-    block.assign(digest.begin(), digest.end());
-    t_len = digest.size();
-    okm.insert(okm.end(), digest.begin(), digest.end());
-    secure_wipe(digest.data(), digest.size());
-  }
-  secure_wipe(block);
-  // Trim to the requested length, wiping the overshoot before release.
-  if (okm.size() > length) {
-    secure_wipe(okm.data() + length, okm.size() - length);
-    okm.resize(length);
-  }
-  return SecretBuffer(std::move(okm));
+  auto okm = SecretBuffer::zeros(length);
+  hkdf_expand(HmacKey(prk), info, okm.expose_mut());
+  return okm;
 }
 
 SecretBuffer hkdf(std::span<const std::uint8_t> salt,

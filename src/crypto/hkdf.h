@@ -13,23 +13,47 @@
 // protocol constants and stay plain spans.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "crypto/hmac.h"
 #include "crypto/secret_buffer.h"
 
 namespace vkey::crypto {
 
-/// HKDF-Extract: PRK = HMAC(salt, ikm). An empty salt is replaced by a
-/// zero-filled hash-length block per the RFC.
+/// A string literal as constant HKDF info bytes (without the terminating
+/// NUL), so call sites derive keys without building strings.
+template <std::size_t N>
+constexpr std::array<std::uint8_t, N - 1> info_label(const char (&text)[N]) {
+  std::array<std::uint8_t, N - 1> out{};
+  for (std::size_t i = 0; i + 1 < N; ++i) {
+    out[i] = static_cast<std::uint8_t>(text[i]);
+  }
+  return out;
+}
+
+/// HKDF-Extract: PRK = HMAC(salt, ikm), written into `prk`. An empty salt
+/// is replaced by a zero-filled hash-length block per the RFC.
+void hkdf_extract(std::span<const std::uint8_t> salt,
+                  std::span<const std::uint8_t> ikm,
+                  std::span<std::uint8_t, Sha256::kDigestSize> prk);
 SecretBuffer hkdf_extract(std::span<const std::uint8_t> salt,
                           std::span<const std::uint8_t> ikm);
 inline SecretBuffer hkdf_extract(std::span<const std::uint8_t> salt,
                                  const SecretBuffer& ikm) {
   return hkdf_extract(salt, ikm.expose());
 }
+
+/// HKDF-Expand: fill `out` (1 .. 255 * 32 bytes) from a pseudorandom key
+/// already absorbed into an HmacKey, with the given context/label. Every
+/// expansion under one HmacKey shares its midstates, and nothing is
+/// allocated; the running block T(i) is wiped before return.
+void hkdf_expand(const HmacKey& prk, std::span<const std::uint8_t> info,
+                 std::span<std::uint8_t> out);
 
 /// HKDF-Expand: derive `length` bytes (<= 255 * 32) from a pseudorandom key
 /// with the given context/label.

@@ -1,43 +1,47 @@
 #include "crypto/hmac.h"
 
+#include <algorithm>
+
 namespace vkey::crypto {
 
-std::array<std::uint8_t, Sha256::kDigestSize> hmac_sha256(
-    std::span<const std::uint8_t> key, std::span<const std::uint8_t> message) {
+HmacKey::HmacKey(std::span<const std::uint8_t> key) {
   constexpr std::size_t kBlockSize = 64;
-
-  // Keys longer than the block size are hashed first. `k` and the derived
-  // ipad/opad blocks are key material; all three are wiped before return.
-  std::array<std::uint8_t, kBlockSize> k{};
+  // Keys longer than the block size are hashed first. `pad` holds the
+  // zero-padded key, then key ^ ipad, then key ^ opad; it is wiped before
+  // return, so only the two midstates keep anything key-derived.
+  std::array<std::uint8_t, kBlockSize> pad{};
   if (key.size() > kBlockSize) {
     Sha256 h;
-    h.update(key.data(), key.size());
-    auto d = h.finalize();
-    std::copy(d.begin(), d.end(), k.begin());
-    secure_wipe(d.data(), d.size());
+    h.update(key);
+    h.finalize(std::span<std::uint8_t, kBlockSize>(pad).first<
+               Sha256::kDigestSize>());
   } else {
-    std::copy(key.begin(), key.end(), k.begin());
+    std::copy(key.begin(), key.end(), pad.begin());
   }
+  for (auto& b : pad) b ^= 0x36;
+  inner_.update(pad);
+  for (auto& b : pad) b ^= 0x36 ^ 0x5c;
+  outer_.update(pad);
+  secure_wipe(pad.data(), pad.size());
+}
 
-  std::array<std::uint8_t, kBlockSize> ipad{}, opad{};
-  for (std::size_t i = 0; i < kBlockSize; ++i) {
-    ipad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
-    opad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
-  }
-  secure_wipe(k.data(), k.size());
-
-  Sha256 inner;
-  inner.update(ipad.data(), ipad.size());
-  inner.update(message.data(), message.size());
-  auto inner_digest = inner.finalize();
-
-  Sha256 outer;
-  outer.update(opad.data(), opad.size());
-  outer.update(inner_digest.data(), inner_digest.size());
-  secure_wipe(ipad.data(), ipad.size());
-  secure_wipe(opad.data(), opad.size());
+void HmacKey::finish(Sha256& inner,
+                     std::span<std::uint8_t, Sha256::kDigestSize> tag) const {
+  std::array<std::uint8_t, Sha256::kDigestSize> inner_digest{};
+  inner.finalize(inner_digest);
+  Sha256 outer = outer_;
+  outer.update(inner_digest);
   secure_wipe(inner_digest.data(), inner_digest.size());
-  return outer.finalize();
+  outer.finalize(tag);
+}
+
+std::array<std::uint8_t, Sha256::kDigestSize> HmacKey::mac(
+    std::span<const std::uint8_t> message) const {
+  Sha256 inner = start();
+  inner.update(message);
+  std::array<std::uint8_t, Sha256::kDigestSize> tag{};
+  finish(inner, tag);
+  return tag;
 }
 
 }  // namespace vkey::crypto

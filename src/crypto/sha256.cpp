@@ -1,5 +1,6 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/error.h"
@@ -26,6 +27,20 @@ inline std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
 
+// One round with the working variables passed in rotated order, so eight
+// consecutive calls cycle a..h back to their own roles without the seven
+// register moves per round of the textbook loop.
+inline void sha_round(std::uint32_t a, std::uint32_t b, std::uint32_t c,
+                      std::uint32_t& d, std::uint32_t e, std::uint32_t f,
+                      std::uint32_t g, std::uint32_t& h, std::uint32_t kw) {
+  const std::uint32_t t1 = h + (rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)) +
+                           ((e & f) ^ (~e & g)) + kw;
+  const std::uint32_t t2 =
+      (rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)) + ((a & b) ^ (a & c) ^ (b & c));
+  d += t1;
+  h = t1 + t2;
+}
+
 }  // namespace
 
 Sha256::Sha256() { reset(); }
@@ -44,37 +59,36 @@ void Sha256::reset() {
 }
 
 void Sha256::process_block(const std::uint8_t* block) {
-  std::uint32_t w[64];
+  // The message schedule lives in a 16-word ring: w[i & 15] is replaced by
+  // W(i) once W(i - 16) has been consumed.
+  std::uint32_t w[16];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
            (static_cast<std::uint32_t>(block[i * 4 + 1]) << 16) |
            (static_cast<std::uint32_t>(block[i * 4 + 2]) << 8) |
            static_cast<std::uint32_t>(block[i * 4 + 3]);
   }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
+  const auto schedule = [&w](int i) {
+    if (i >= 16) {
+      const std::uint32_t w15 = w[(i - 15) & 15];
+      const std::uint32_t w2 = w[(i - 2) & 15];
+      w[i & 15] += (rotr(w15, 7) ^ rotr(w15, 18) ^ (w15 >> 3)) +
+                   w[(i - 7) & 15] +
+                   (rotr(w2, 17) ^ rotr(w2, 19) ^ (w2 >> 10));
+    }
+    return kK[i] + w[i & 15];
+  };
   std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
   std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
+  for (int i = 0; i < 64; i += 8) {
+    sha_round(a, b, c, d, e, f, g, h, schedule(i));
+    sha_round(h, a, b, c, d, e, f, g, schedule(i + 1));
+    sha_round(g, h, a, b, c, d, e, f, schedule(i + 2));
+    sha_round(f, g, h, a, b, c, d, e, schedule(i + 3));
+    sha_round(e, f, g, h, a, b, c, d, schedule(i + 4));
+    sha_round(d, e, f, g, h, a, b, c, schedule(i + 5));
+    sha_round(c, d, e, f, g, h, a, b, schedule(i + 6));
+    sha_round(b, c, d, e, f, g, h, a, schedule(i + 7));
   }
   state_[0] += a;
   state_[1] += b;
@@ -91,44 +105,57 @@ void Sha256::process_block(const std::uint8_t* block) {
 
 void Sha256::update(const std::uint8_t* data, std::size_t len) {
   VKEY_REQUIRE(!finalized_, "Sha256 used after finalize");
+  if (len == 0) return;
   total_len_ += len;
-  while (len > 0) {
+  if (buffer_len_ > 0) {
     const std::size_t take = std::min(len, buffer_.size() - buffer_len_);
     std::memcpy(buffer_.data() + buffer_len_, data, take);
     buffer_len_ += take;
     data += take;
     len -= take;
-    if (buffer_len_ == buffer_.size()) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < buffer_.size()) return;
+    process_block(buffer_.data());
+    buffer_len_ = 0;
   }
+  // Whole blocks are compressed straight from the input.
+  for (; len >= buffer_.size(); data += buffer_.size(), len -= buffer_.size()) {
+    process_block(data);
+  }
+  std::memcpy(buffer_.data(), data, len);
+  buffer_len_ = len;
 }
 
-std::array<std::uint8_t, Sha256::kDigestSize> Sha256::finalize() {
+void Sha256::finalize(std::span<std::uint8_t, kDigestSize> out) {
   VKEY_REQUIRE(!finalized_, "Sha256 finalized twice");
   finalized_ = true;
+  // Padding: 0x80, zeros up to byte 56 of a block, then the 64-bit
+  // big-endian bit length. A tail longer than 55 bytes spills the length
+  // into one more block.
   const std::uint64_t bit_len = total_len_ * 8;
-  // Padding: 0x80 then zeros then 64-bit big-endian length.
-  const std::uint8_t pad_byte = 0x80;
-  finalized_ = false;  // allow the padding updates below
-  update(&pad_byte, 1);
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(&zero, 1);
-  std::uint8_t len_bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::fill(buffer_.begin() + buffer_len_, buffer_.end(), 0);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
   }
-  update(len_bytes, 8);
-  finalized_ = true;
+  std::fill(buffer_.begin() + buffer_len_, buffer_.begin() + 56, 0);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  process_block(buffer_.data());
+  buffer_len_ = 0;
 
-  std::array<std::uint8_t, kDigestSize> out{};
   for (std::size_t i = 0; i < 8; ++i) {
     out[i * 4] = static_cast<std::uint8_t>(state_[i] >> 24);
     out[i * 4 + 1] = static_cast<std::uint8_t>(state_[i] >> 16);
     out[i * 4 + 2] = static_cast<std::uint8_t>(state_[i] >> 8);
     out[i * 4 + 3] = static_cast<std::uint8_t>(state_[i]);
   }
+}
+
+std::array<std::uint8_t, Sha256::kDigestSize> Sha256::finalize() {
+  std::array<std::uint8_t, kDigestSize> out{};
+  finalize(out);
   return out;
 }
 

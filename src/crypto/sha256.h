@@ -8,6 +8,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,14 +32,17 @@ class Sha256 {
   Sha256(Sha256&&) = default;
   Sha256& operator=(Sha256&&) = default;
 
-  /// Absorb `len` bytes.
+  /// Absorb `len` bytes. Whole 64-byte blocks are compressed straight
+  /// from `data`; only a partial tail is buffered.
   void update(const std::uint8_t* data, std::size_t len);
-  void update(const std::vector<std::uint8_t>& data) {
+  void update(std::span<const std::uint8_t> data) {
     update(data.data(), data.size());
   }
 
-  /// Finalize and return the 32-byte digest. The hasher must not be used
-  /// after finalization (call reset() to reuse).
+  /// Finalize and write the 32-byte digest into `out` (at most two
+  /// compressions). The hasher must not be used after finalization (call
+  /// reset() to reuse).
+  void finalize(std::span<std::uint8_t, kDigestSize> out);
   std::array<std::uint8_t, kDigestSize> finalize();
 
   /// Reset to the initial state.

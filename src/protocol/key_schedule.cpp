@@ -1,16 +1,23 @@
 #include "protocol/key_schedule.h"
 
+#include <algorithm>
+#include <array>
 #include <utility>
 
 #include "common/error.h"
 #include "crypto/aes128.h"
 #include "crypto/hkdf.h"
 #include "crypto/hmac.h"
+#include "crypto/sha256.h"
 #include "protocol/unreliable_channel.h"
 
 namespace vkey::protocol {
 
 namespace {
+
+constexpr std::size_t kPrkSize = KeySchedule::kPrkSize;
+static_assert(kPrkSize == crypto::Sha256::kDigestSize);
+using Prk = std::array<std::uint8_t, kPrkSize>;
 
 void append_be32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v >> 24));
@@ -19,32 +26,57 @@ void append_be32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
 }
 
-void append_be64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  append_be32(out, static_cast<std::uint32_t>(v >> 32));
-  append_be32(out, static_cast<std::uint32_t>(v));
-}
+struct DirectionLabels {
+  std::array<std::uint8_t, 15> enc;
+  std::array<std::uint8_t, 15> mac;
+  std::array<std::uint8_t, 17> nonce;
+};
 
-std::vector<std::uint8_t> label_bytes(const char* label) {
-  const std::string s(label);
-  return {s.begin(), s.end()};
-}
+constexpr auto kSaltPrefix = crypto::info_label("vkey/wire/v1");
+constexpr DirectionLabels kA2b{crypto::info_label("vkey v1 a2b enc"),
+                               crypto::info_label("vkey v1 a2b mac"),
+                               crypto::info_label("vkey v1 a2b nonce")};
+constexpr DirectionLabels kB2a{crypto::info_label("vkey v1 b2a enc"),
+                               crypto::info_label("vkey v1 b2a mac"),
+                               crypto::info_label("vkey v1 b2a nonce")};
+constexpr auto kConfirmLabel = crypto::info_label("vkey v1 confirm");
+constexpr auto kRatchetLabel = crypto::info_label("vkey v1 ratchet");
 
-// Extraction salt: protocol string || session || epoch. Putting the epoch in
-// the salt (not just the expand labels) separates epochs at the extract
-// step, so even identical input secrets yield unrelated PRKs per epoch.
-std::vector<std::uint8_t> epoch_salt(std::uint64_t session_id,
-                                     std::uint32_t epoch) {
-  std::vector<std::uint8_t> salt = label_bytes("vkey/wire/v1");
-  append_be64(salt, session_id);
-  append_be32(salt, epoch);
+// Extraction salt: protocol string || be64(session) || be32(epoch). Putting
+// the epoch in the salt (not just the expand labels) separates epochs at
+// the extract step, so even identical input secrets yield unrelated PRKs
+// per epoch.
+std::array<std::uint8_t, kSaltPrefix.size() + 12> epoch_salt(
+    std::uint64_t session_id, std::uint32_t epoch) {
+  std::array<std::uint8_t, kSaltPrefix.size() + 12> salt{};
+  auto out = std::copy(kSaltPrefix.begin(), kSaltPrefix.end(), salt.begin());
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    *out++ = static_cast<std::uint8_t>(session_id >> shift);
+  }
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    *out++ = static_cast<std::uint8_t>(epoch >> shift);
+  }
   return salt;
 }
 
-crypto::SecretBuffer expand_label(const crypto::SecretBuffer& prk,
-                                  const std::string& label,
+// PRK_e = HKDF-Extract(epoch_salt(session, e), secret_e), absorbed into an
+// HmacKey; the PRK bytes are wiped.
+crypto::HmacKey keyed_epoch_prk(std::span<const std::uint8_t> secret,
+                                std::uint64_t session_id,
+                                std::uint32_t epoch) {
+  Prk prk{};
+  crypto::hkdf_extract(epoch_salt(session_id, epoch), secret, prk);
+  crypto::HmacKey keyed(prk);
+  crypto::secure_wipe(prk.data(), prk.size());
+  return keyed;
+}
+
+crypto::SecretBuffer expand_label(const crypto::HmacKey& prk,
+                                  std::span<const std::uint8_t> info,
                                   std::size_t length) {
-  return crypto::hkdf_expand(
-      prk, std::vector<std::uint8_t>(label.begin(), label.end()), length);
+  auto okm = crypto::SecretBuffer::zeros(length);
+  crypto::hkdf_expand(prk, info, okm.expose_mut());
+  return okm;
 }
 
 std::uint32_t read_be32(const std::uint8_t* p) {
@@ -54,20 +86,27 @@ std::uint32_t read_be32(const std::uint8_t* p) {
          static_cast<std::uint32_t>(p[3]);
 }
 
-std::uint64_t read_be64(const std::uint8_t* p) {
-  return (static_cast<std::uint64_t>(read_be32(p)) << 32) | read_be32(p + 4);
-}
-
-DirectionKeys derive_direction(const crypto::SecretBuffer& prk,
-                               const std::string& dir) {
+DirectionKeys derive_direction(const crypto::HmacKey& prk,
+                               const DirectionLabels& labels) {
   DirectionKeys keys;
-  keys.enc = expand_label(prk, "vkey v1 " + dir + " enc", 16);
-  keys.mac = expand_label(prk, "vkey v1 " + dir + " mac", 32);
+  keys.enc = expand_label(prk, labels.enc, 16);
+  keys.mac = expand_label(prk, labels.mac, 32);
   // The nonce base leaves the secret domain by design: it is XORed into
   // the CTR counter block, never exposed on the wire, and 8 bytes of OKM
   // are not key-equivalent for either direction key.
-  const auto nonce = expand_label(prk, "vkey v1 " + dir + " nonce", 8);
-  keys.nonce_base = read_be64(nonce.expose().data());
+  std::array<std::uint8_t, 8> nonce{};
+  crypto::hkdf_expand(prk, labels.nonce, nonce);
+  for (const std::uint8_t b : nonce) keys.nonce_base = keys.nonce_base << 8 | b;
+  return keys;
+}
+
+// The seven expansions of one epoch, all under the epoch's keyed PRK.
+EpochKeys derive_from_prk(const crypto::HmacKey& prk, std::uint32_t epoch) {
+  EpochKeys keys;
+  keys.epoch = epoch;
+  keys.a2b = derive_direction(prk, kA2b);
+  keys.b2a = derive_direction(prk, kB2a);
+  keys.confirm = expand_label(prk, kConfirmLabel, 32);
   return keys;
 }
 
@@ -78,24 +117,21 @@ DirectionKeys derive_direction(const crypto::SecretBuffer& prk,
 std::vector<std::uint8_t> confirm_tag(const EpochKeys& keys,
                                       const Message& msg,
                                       KeySchedule::Role role) {
-  std::vector<std::uint8_t> input = mac_input(msg);
-  input.push_back(static_cast<std::uint8_t>(role));
-  const auto tag = crypto::hmac_sha256(keys.confirm, input);
-  return {tag.begin(), tag.end()};
+  const crypto::HmacKey key(keys.confirm);
+  crypto::Sha256 inner = key.start();
+  inner.update(mac_input(msg));
+  const auto role_byte = static_cast<std::uint8_t>(role);
+  inner.update(&role_byte, 1);
+  std::vector<std::uint8_t> tag(crypto::Sha256::kDigestSize);
+  key.finish(inner, std::span<std::uint8_t, crypto::Sha256::kDigestSize>(tag));
+  return tag;
 }
 
 }  // namespace
 
 EpochKeys derive_epoch_keys(std::span<const std::uint8_t> secret,
                             std::uint64_t session_id, std::uint32_t epoch) {
-  const auto prk =
-      crypto::hkdf_extract(epoch_salt(session_id, epoch), secret);
-  EpochKeys keys;
-  keys.epoch = epoch;
-  keys.a2b = derive_direction(prk, "a2b");
-  keys.b2a = derive_direction(prk, "b2a");
-  keys.confirm = expand_label(prk, "vkey v1 confirm", 32);
-  return keys;
+  return derive_from_prk(keyed_epoch_prk(secret, session_id, epoch), epoch);
 }
 
 crypto::SecretBuffer ratchet_secret(std::span<const std::uint8_t> secret,
@@ -104,9 +140,8 @@ crypto::SecretBuffer ratchet_secret(std::span<const std::uint8_t> secret,
   VKEY_REQUIRE(next_epoch >= 1, "epoch 0 has no predecessor to ratchet from");
   // Epoch e's PRK (salt carries e = next_epoch - 1) produces epoch e+1's
   // secret, matching the label schedule in the header diagram.
-  const auto prk = crypto::hkdf_extract(
-      epoch_salt(session_id, next_epoch - 1), secret);
-  return expand_label(prk, "vkey v1 ratchet", 32);
+  return expand_label(keyed_epoch_prk(secret, session_id, next_epoch - 1),
+                      kRatchetLabel, 32);
 }
 
 KeySchedule::KeySchedule(const BitVec& amplified_secret,
@@ -118,25 +153,48 @@ KeySchedule::KeySchedule(const BitVec& amplified_secret,
     : session_id_(session_id),
       role_(role),
       policy_(policy),
-      secret_(crypto::SecretBuffer(amplified_secret.to_bytes())) {
-  VKEY_REQUIRE(!secret_.empty(), "amplified secret must be non-empty");
+      prk_(crypto::SecretBuffer::zeros(kPrkSize)) {
+  const crypto::SecretBuffer secret(amplified_secret.to_bytes());
+  VKEY_REQUIRE(!secret.empty(), "amplified secret must be non-empty");
   VKEY_REQUIRE(policy_.rekey_interval_ms > 0.0 && policy_.grace_ms >= 0.0,
                "rekey interval must be positive, grace non-negative");
-  current_ = derive_epoch_keys(secret_, session_id_, 0);
+  crypto::hkdf_extract(epoch_salt(session_id_, 0), secret.expose(),
+                       prk_.expose_mut().first<kPrkSize>());
+  current_ = derive_from_prk(crypto::HmacKey(prk_), 0);
 }
 
 bool KeySchedule::rekey_due(double now_ms) const noexcept {
   return now_ms - last_rekey_ms_ >= policy_.rekey_interval_ms;
 }
 
-void KeySchedule::rekey(double now_ms) {
-  previous_ = current_;
-  previous_expires_ms_ = now_ms + policy_.grace_ms;
+EpochKeys KeySchedule::derive_next(
+    std::span<std::uint8_t, kPrkSize> next_prk) const {
+  // secret_{e+1} = HKDF-Expand(PRK_e, "vkey v1 ratchet", 32), then the
+  // extract of epoch e+1. The intermediate secret is wiped at once.
   const std::uint32_t next = current_.epoch + 1;
-  secret_ = ratchet_secret(secret_, session_id_, next);
-  current_ = derive_epoch_keys(secret_, session_id_, next);
+  std::array<std::uint8_t, 32> next_secret{};
+  crypto::hkdf_expand(crypto::HmacKey(prk_), kRatchetLabel, next_secret);
+  crypto::hkdf_extract(epoch_salt(session_id_, next), next_secret, next_prk);
+  crypto::secure_wipe(next_secret.data(), next_secret.size());
+  return derive_from_prk(crypto::HmacKey(next_prk), next);
+}
+
+void KeySchedule::advance(EpochKeys next,
+                          std::span<const std::uint8_t, kPrkSize> next_prk,
+                          double now_ms) {
+  previous_ = std::move(current_);
+  previous_expires_ms_ = now_ms + policy_.grace_ms;
+  std::copy(next_prk.begin(), next_prk.end(), prk_.expose_mut().begin());
+  current_ = std::move(next);
   last_rekey_ms_ = now_ms;
   ++stats_.rekeys;
+}
+
+void KeySchedule::rekey(double now_ms) {
+  Prk next_prk{};
+  EpochKeys next = derive_next(next_prk);
+  advance(std::move(next), next_prk, now_ms);
+  crypto::secure_wipe(next_prk.data(), next_prk.size());
 }
 
 Message KeySchedule::make_confirm(std::uint64_t nonce) const {
@@ -202,20 +260,17 @@ std::optional<std::vector<std::uint8_t>> KeySchedule::open(const Message& msg,
     // The peer rekeyed first. Derive the candidate epoch and require the
     // frame to authenticate under it *before* adopting anything — a forged
     // epoch number alone must not move the schedule.
-    auto next_secret = ratchet_secret(secret_, session_id_, epoch);
-    EpochKeys candidate = derive_epoch_keys(next_secret, session_id_, epoch);
+    Prk next_prk{};
+    EpochKeys candidate = derive_next(next_prk);
     const auto tag =
         crypto::hmac_sha256(recv_keys(candidate).mac, mac_input(msg));
     if (!crypto::constant_time_equal(msg.mac, tag)) {
+      crypto::secure_wipe(next_prk.data(), next_prk.size());
       ++stats_.mac_rejects;
       return std::nullopt;
     }
-    previous_ = std::move(current_);
-    previous_expires_ms_ = now_ms + policy_.grace_ms;
-    secret_ = std::move(next_secret);
-    current_ = std::move(candidate);
-    last_rekey_ms_ = now_ms;
-    ++stats_.rekeys;
+    advance(std::move(candidate), next_prk, now_ms);
+    crypto::secure_wipe(next_prk.data(), next_prk.size());
     ++stats_.fast_forwards;
     keys = &current_;
   } else {

@@ -17,6 +17,11 @@
 //         ├──────────────────> "vkey v1 confirm"   (32 B, confirmation key)
 //         └──────────────────> "vkey v1 ratchet"   (32 B, epoch e+1 secret)
 //
+// The PRK is keyed once per epoch (crypto::HmacKey), so the expansions
+// share its HMAC midstates, and a KeySchedule holds the epoch's PRK rather
+// than its secret: a rekey expands the ratchet label from it and extracts
+// the next epoch without re-deriving the current one.
+//
 // Directional keys make reflected traffic self-evidently bogus; per-epoch
 // extraction with the epoch in the salt cryptographically separates
 // generations; the ratchet discards the old secret at each rekey, so a
@@ -99,6 +104,10 @@ class KeySchedule {
  public:
   enum class Role : std::uint8_t { kInitiator, kResponder };
 
+  /// Bytes of the epoch PRK the schedule holds (the HKDF-SHA256 hash
+  /// length).
+  static constexpr std::size_t kPrkSize = 32;
+
   struct Policy {
     double rekey_interval_ms = 60'000.0;  ///< scheduled rekey period
     double grace_ms = 2'000.0;  ///< old-epoch acceptance window after rekey
@@ -135,8 +144,8 @@ class KeySchedule {
   /// Virtual time of the last epoch advance (0 until the first rekey).
   double last_rekey_ms() const noexcept { return last_rekey_ms_; }
 
-  /// Advance one epoch: ratchet the secret, re-derive keys, keep the old
-  /// epoch openable until now + grace_ms.
+  /// Advance one epoch: ratchet from the held PRK, re-derive keys, keep
+  /// the old epoch openable until now + grace_ms.
   void rekey(double now_ms);
 
   // -------------------------------------------------- key confirmation
@@ -171,10 +180,21 @@ class KeySchedule {
     return role_ == Role::kInitiator ? e.b2a : e.a2b;
   }
 
+  /// The next epoch's keys, derived from prk_ through the ratchet; its
+  /// PRK is written into `next_prk`. Adopts nothing.
+  EpochKeys derive_next(std::span<std::uint8_t, kPrkSize> next_prk) const;
+  /// Make `next` current; the current epoch becomes the grace epoch.
+  void advance(EpochKeys next, std::span<const std::uint8_t, kPrkSize> next_prk,
+               double now_ms);
+
   std::uint64_t session_id_;
   Role role_;
   Policy policy_;
-  crypto::SecretBuffer secret_;  ///< current epoch's secret (zeroizing)
+  /// The current epoch's PRK (zeroizing). Holding the PRK rather than the
+  /// epoch secret lets a rekey ratchet without repeating the extract that
+  /// derived the epoch; the PRK is a one-way function of the secret and is
+  /// overwritten at every advance (DESIGN.md §11).
+  crypto::SecretBuffer prk_;
   EpochKeys current_;
   std::optional<EpochKeys> previous_;
   double previous_expires_ms_ = 0.0;

@@ -1,5 +1,7 @@
 #include "protocol/session.h"
 
+#include <array>
+
 #include "common/error.h"
 #include "common/metrics.h"
 #include "crypto/aes128.h"
@@ -11,6 +13,9 @@
 namespace vkey::protocol {
 
 namespace {
+
+constexpr auto kEncLabel = crypto::info_label("vkey-v1 encryption");
+constexpr auto kMacLabel = crypto::info_label("vkey-v1 mac");
 
 std::vector<std::uint8_t> hmac_of(const BitVec& key, const Message& msg) {
   // The serialized key bytes are a transient secret; wipe them as soon as
@@ -127,10 +132,10 @@ BobSession::BobSession(const SessionConfig& config,
                "Bob key width must match the reconciler");
 }
 
-BitVec BobSession::final_key() const {
+const BitVec& BobSession::final_key() const {
   VKEY_REQUIRE(state_ == SessionState::kEstablished,
                "session not established");
-  return amplifier_.amplify(raw_key_, cfg_.session_id);
+  return final_key_;
 }
 
 std::optional<Message> BobSession::handle(const Message& msg) {
@@ -195,9 +200,8 @@ std::optional<Message> BobSession::dispatch(const Message& msg) {
         last_reject_ = RejectReason::kBadState;
         return std::nullopt;
       }
-      const auto expected = confirm_digest(
-          amplifier_.amplify(raw_key_, cfg_.session_id), cfg_.session_id,
-          "A");
+      final_key_ = amplifier_.amplify(raw_key_, cfg_.session_id);
+      const auto expected = confirm_digest(final_key_, cfg_.session_id, "A");
       if (!crypto::constant_time_equal(msg.payload, expected)) {
         last_reject_ = RejectReason::kConfirmMismatch;
         state_ = SessionState::kFailed;
@@ -208,7 +212,7 @@ std::optional<Message> BobSession::dispatch(const Message& msg) {
       ack.type = MessageType::kKeyConfirmAck;
       ack.session_id = cfg_.session_id;
       ack.nonce = next_nonce_++;
-      ack.payload = confirm_digest(final_key(), cfg_.session_id, "B");
+      ack.payload = confirm_digest(final_key_, cfg_.session_id, "B");
       return ack;
     }
     default:
@@ -259,10 +263,10 @@ void AliceSession::set_recorder(FlightRecorder* recorder, std::string actor) {
   actor_ = std::move(actor);
 }
 
-BitVec AliceSession::final_key() const {
+const BitVec& AliceSession::final_key() const {
   VKEY_REQUIRE(state_ == SessionState::kEstablished,
                "session not established");
-  return amplifier_.amplify(corrected_key_, cfg_.session_id);
+  return final_key_;
 }
 
 std::optional<Message> AliceSession::handle(const Message& msg) {
@@ -334,13 +338,12 @@ std::optional<Message> AliceSession::dispatch(const Message& msg) {
         return std::nullopt;
       }
       state_ = SessionState::kAwaitConfirmAck;
+      final_key_ = amplifier_.amplify(corrected_key_, cfg_.session_id);
       Message confirm;
       confirm.type = MessageType::kKeyConfirm;
       confirm.session_id = cfg_.session_id;
       confirm.nonce = next_nonce_++;
-      confirm.payload = confirm_digest(
-          amplifier_.amplify(corrected_key_, cfg_.session_id),
-          cfg_.session_id, "A");
+      confirm.payload = confirm_digest(final_key_, cfg_.session_id, "A");
       return confirm;
     }
     case MessageType::kKeyConfirmAck: {
@@ -348,9 +351,7 @@ std::optional<Message> AliceSession::dispatch(const Message& msg) {
         last_reject_ = RejectReason::kBadState;
         return std::nullopt;
       }
-      const auto expected = confirm_digest(
-          amplifier_.amplify(corrected_key_, cfg_.session_id),
-          cfg_.session_id, "B");
+      const auto expected = confirm_digest(final_key_, cfg_.session_id, "B");
       if (!crypto::constant_time_equal(msg.payload, expected)) {
         last_reject_ = RejectReason::kConfirmMismatch;
         state_ = SessionState::kFailed;
@@ -430,11 +431,17 @@ bool run_key_agreement(PublicChannel& channel, AliceSession& alice,
 
 SecureLink::SecureLink(const BitVec& key128) {
   VKEY_REQUIRE(key128.size() == 128, "SecureLink needs a 128-bit key");
-  auto bytes = key128.to_bytes();
-  // Cryptographically separated subkeys via HKDF (RFC 5869).
-  aes_key_ = crypto::derive_subkey(bytes, "vkey-v1 encryption", 16);
-  mac_key_ = crypto::derive_subkey(bytes, "vkey-v1 mac", 32);
-  crypto::secure_wipe(bytes);
+  const crypto::SecretBuffer secret(key128.to_bytes());
+  // Cryptographically separated subkeys via HKDF (RFC 5869): one extract
+  // (empty salt), then one expansion per label under the keyed PRK.
+  std::array<std::uint8_t, crypto::Sha256::kDigestSize> prk{};
+  crypto::hkdf_extract({}, secret.expose(), prk);
+  const crypto::HmacKey keyed(prk);
+  crypto::secure_wipe(prk.data(), prk.size());
+  aes_key_ = crypto::SecretBuffer::zeros(16);
+  crypto::hkdf_expand(keyed, kEncLabel, aes_key_.expose_mut());
+  mac_key_ = crypto::SecretBuffer::zeros(32);
+  crypto::hkdf_expand(keyed, kMacLabel, mac_key_.expose_mut());
 }
 
 Message SecureLink::seal(std::uint64_t session_id, std::uint64_t nonce,

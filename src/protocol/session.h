@@ -131,7 +131,7 @@ class BobSession {
   std::size_t rejected_count() const { return guard_.rejects(); }
 
   /// Final 128-bit key; valid once state() == kEstablished.
-  BitVec final_key() const;
+  const BitVec& final_key() const;
 
  private:
   std::optional<Message> dispatch(const Message& msg);
@@ -139,6 +139,7 @@ class BobSession {
   SessionConfig cfg_;
   const core::AutoencoderReconciler& reconciler_;
   BitVec raw_key_;
+  BitVec final_key_;  ///< amplified once, when Alice's confirm arrives
   core::PrivacyAmplifier amplifier_;
   SessionState state_ = SessionState::kIdle;
   RejectReason last_reject_ = RejectReason::kNone;
@@ -171,7 +172,7 @@ class AliceSession {
   }
   std::size_t rejected_count() const { return guard_.rejects(); }
 
-  BitVec final_key() const;
+  const BitVec& final_key() const;
 
  private:
   std::optional<Message> dispatch(const Message& msg);
@@ -180,6 +181,7 @@ class AliceSession {
   const core::AutoencoderReconciler& reconciler_;
   BitVec raw_key_;
   BitVec corrected_key_;
+  BitVec final_key_;  ///< amplified once, when the syndrome MAC verifies
   core::PrivacyAmplifier amplifier_;
   SessionState state_ = SessionState::kIdle;
   RejectReason last_reject_ = RejectReason::kNone;

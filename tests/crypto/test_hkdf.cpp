@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "crypto/sha256.h"
 
@@ -68,6 +70,42 @@ TEST(Hkdf, LengthBoundsChecked) {
   EXPECT_THROW(
       hkdf_expand(SecretBuffer(std::vector<std::uint8_t>(8, 1)), {}, 16),
       vkey::Error);
+}
+
+TEST(Hkdf, SpanExpandFillsEveryLengthUpToTheMaximum) {
+  // RFC 5869 case 1's PRK and info, expanded to the 255-block maximum:
+  // shorter outputs must be prefixes of it, and the whole of it hashes to
+  // a digest computed independently with Python's hmac/hashlib.
+  const auto prk = from_hex(
+      "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5");
+  const auto info = from_hex("f0f1f2f3f4f5f6f7f8f9");
+  const HmacKey keyed(prk);
+  std::vector<std::uint8_t> full(255 * 32);
+  hkdf_expand(keyed, info, full);
+  const auto digest = Sha256::digest(full);
+  EXPECT_EQ(to_hex(digest.data(), digest.size()),
+            "06ce7419405a88a66ba5c9795579cb05130c85101924d187552a0f7f57deb091");
+  EXPECT_EQ(to_hex(full.data(), 33),
+            "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
+            "34");
+  for (std::size_t len : {1u, 31u, 32u, 33u}) {
+    std::vector<std::uint8_t> out(len);
+    hkdf_expand(keyed, info, out);
+    EXPECT_TRUE(std::equal(out.begin(), out.end(), full.begin()))
+        << "length " << len;
+  }
+  std::vector<std::uint8_t> none;
+  EXPECT_THROW(hkdf_expand(keyed, info, none), vkey::Error);
+  std::vector<std::uint8_t> too_long(255 * 32 + 1);
+  EXPECT_THROW(hkdf_expand(keyed, info, too_long), vkey::Error);
+}
+
+TEST(Hkdf, SpanExtractMatchesSecretBufferExtract) {
+  const auto ikm = from_hex("0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b");
+  std::array<std::uint8_t, 32> prk{};
+  hkdf_extract({}, ikm, prk);
+  EXPECT_TRUE(constant_time_equal(std::span<const std::uint8_t>(prk),
+                                  hkdf_extract({}, ikm).expose()));
 }
 
 TEST(Hkdf, DistinctLabelsDistinctSubkeys) {

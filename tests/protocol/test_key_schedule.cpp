@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "crypto/sha256.h"
 #include "protocol/channel.h"
 #include "protocol/sim_clock.h"
 #include "protocol/unreliable_channel.h"
@@ -81,6 +82,137 @@ TEST(KeyScheduleDerive, RatchetIsDeterministicAndOneWayLooking) {
   EXPECT_FALSE(crypto::constant_time_equal(next.expose(),
                                            std::span<const std::uint8_t>(secret)));
   EXPECT_FALSE(same(ratchet_secret(secret, kSession, 2), next));
+}
+
+// ---------------------------------------------------------- golden vectors
+// Pinned outputs of the HKDF label schedule (DESIGN.md §11) for the fixed
+// 16-byte secret 00 01 .. 0f, computed independently with Python's
+// hmac/hashlib. The relational tests above would still pass if two labels
+// were swapped or the epoch left the salt; these would not.
+
+std::vector<std::uint8_t> golden_secret() {
+  std::vector<std::uint8_t> s(16);
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    s[i] = static_cast<std::uint8_t>(i);
+  }
+  return s;
+}
+
+// Test-only rendering of derived keys for comparison with the pins.
+std::string hex_of(const crypto::SecretBuffer& s) {
+  const auto view = s.expose();
+  return crypto::to_hex(view.data(), view.size());
+}
+
+struct GoldenEpoch {
+  const char* a2b_enc;
+  const char* a2b_mac;
+  std::uint64_t a2b_nonce;
+  const char* b2a_enc;
+  const char* b2a_mac;
+  std::uint64_t b2a_nonce;
+  const char* confirm;
+};
+
+// Epoch e of session kSession, secret_0 = golden_secret() and
+// secret_e = ratchet_secret(secret_{e-1}, kSession, e).
+constexpr GoldenEpoch kGoldenEpochs[4] = {
+    {"19e49f281a0315183e76e01867c58c32",
+     "0188dc8a4123c938e08d2c4d4d55da2b253b44b44ebe94f3363301640746a258",
+     0xce9dde6d368509f8ULL, "0a8f920b155f3800ad326632f10db6f4",
+     "84b89b0c3cf7d16a6c503915972eb0768a96cb26bb714045fc6da758df2d364a",
+     0x7d61e759d7e7da47ULL,
+     "43f9625d1f7d91d81e48a204c2c1329e7e136ef585aca9f388469c7cdda54c4e"},
+    {"a47d8251e8230cb15abc8f63f038245b",
+     "062a705ac45bacae37d0606fa1ebd94108b8f39095cd962efbc3520cd82ef6cf",
+     0xed99f1fab03e826aULL, "177ba83f697fa04e74309ab03d573f7a",
+     "6a408ac49181e7eb5b22765cb2c4df1576ed4b00d33d8278d9d7fe2e756681e5",
+     0x3666730d01a900ffULL,
+     "7bde0f1b93af3e8812b4d59e0cad8435952dcec10c8159d5df69f31b3c7db4cd"},
+    {"853ea8ec075eb0efdc7e486d9b622181",
+     "7b28328d765efe55251645788d22f55f4dc615f44457389f46ab8802e0f46a1c",
+     0x7ed5ed02bf1874d7ULL, "e41a27c28a8bb48d32d032e1f2035e08",
+     "fa0ac477eb69ca14d604be417399f7b3277f2eb877d9364cb17dcc77982f52fb",
+     0x3e57a1f99eb6298fULL,
+     "ab274357f317046e972b90a203b006d84cd30a60260388d4719611612004a702"},
+    {"dd62b1568eaef699ead4ff22c82f7d43",
+     "a778a8308640b85372f44043abfd9fea5af6b3413864f4b1979e56fa593eb4cb",
+     0x77eefd26b20af383ULL, "1ed7827f1fe1eebb0263c54dfa40291d",
+     "e3db98f1acdae4b1012165caf968bd1c92c4e9e648bfed3c7971627a9aa4bcdd",
+     0xdb9688a72dbda790ULL,
+     "ec9dbbd57bd78b2f1026859e5abd994b5ee76d35b6552d3175614eedb399a91e"},
+};
+
+void expect_golden(const EpochKeys& keys, std::uint32_t epoch) {
+  const GoldenEpoch& g = kGoldenEpochs[epoch];
+  EXPECT_EQ(keys.epoch, epoch);
+  EXPECT_EQ(hex_of(keys.a2b.enc), g.a2b_enc) << "epoch " << epoch;
+  EXPECT_EQ(hex_of(keys.a2b.mac), g.a2b_mac) << "epoch " << epoch;
+  EXPECT_EQ(keys.a2b.nonce_base, g.a2b_nonce) << "epoch " << epoch;
+  EXPECT_EQ(hex_of(keys.b2a.enc), g.b2a_enc) << "epoch " << epoch;
+  EXPECT_EQ(hex_of(keys.b2a.mac), g.b2a_mac) << "epoch " << epoch;
+  EXPECT_EQ(keys.b2a.nonce_base, g.b2a_nonce) << "epoch " << epoch;
+  EXPECT_EQ(hex_of(keys.confirm), g.confirm) << "epoch " << epoch;
+}
+
+// The ratchet chain secret_0 .. secret_3 the pins are defined over.
+std::vector<crypto::SecretBuffer> golden_chain() {
+  std::vector<crypto::SecretBuffer> chain;
+  chain.push_back(crypto::SecretBuffer::copy_of(golden_secret()));
+  for (std::uint32_t e = 1; e < 4; ++e) {
+    chain.push_back(ratchet_secret(chain.back(), kSession, e));
+  }
+  return chain;
+}
+
+TEST(KeyScheduleGolden, EpochKeysMatchPinnedVectors) {
+  const auto chain = golden_chain();
+  for (std::uint32_t e = 0; e < 4; ++e) {
+    expect_golden(derive_epoch_keys(chain[e], kSession, e), e);
+  }
+}
+
+TEST(KeyScheduleGolden, RatchetMatchesPinnedVectors) {
+  const auto secret = golden_secret();
+  EXPECT_EQ(hex_of(ratchet_secret(secret, kSession, 1)),
+            "1ff9620e235fa53142e56414fe4abc77"
+            "53277e0e664984fb29b46a4b54e8009f");
+  EXPECT_EQ(hex_of(ratchet_secret(secret, kSession, 3)),
+            "5ea2703550c886dbadc7df647bed6ca8"
+            "f03b19a6818a00e9650ff4baad5ee3ee");
+  EXPECT_EQ(hex_of(ratchet_secret(secret, 7, 1)),
+            "6c797b7b201b872e2a933b48164f1a1a"
+            "d21580b7824aeae46d3f59f6b03e3313");
+  EXPECT_EQ(hex_of(ratchet_secret(secret, 7, 3)),
+            "8793ec599a4e84c9580e295fdd516967"
+            "0af4fd26a90fb1b46415cf6d4af5e28a");
+}
+
+TEST(KeyScheduleGolden, RekeyedScheduleEqualsTheRatchetChain) {
+  const BitVec secret = BitVec::from_bytes(golden_secret(), 128);
+  for (std::uint32_t n = 0; n < 4; ++n) {
+    KeySchedule s(secret, kSession, KeySchedule::Role::kInitiator,
+                  fast_policy());
+    for (std::uint32_t i = 0; i < n; ++i) s.rekey(1000.0 * (i + 1));
+    ASSERT_EQ(s.epoch(), n);
+    expect_golden(s.keys(), n);
+  }
+}
+
+TEST(KeyScheduleGolden, FastForwardThroughOpenEqualsTheRatchetChain) {
+  const BitVec secret = BitVec::from_bytes(golden_secret(), 128);
+  KeySchedule alice(secret, kSession, KeySchedule::Role::kInitiator,
+                    fast_policy());
+  KeySchedule bob(secret, kSession, KeySchedule::Role::kResponder,
+                  fast_policy());
+  for (std::uint32_t e = 1; e < 4; ++e) {
+    const double now = 1000.0 * e;
+    alice.rekey(now);
+    ASSERT_TRUE(bob.open(alice.seal(e, {0x5a}), now).has_value());
+    ASSERT_EQ(bob.epoch(), e);
+    expect_golden(bob.keys(), e);
+  }
+  EXPECT_EQ(bob.stats().fast_forwards, 3u);
 }
 
 // ------------------------------------------------------------- seal / open

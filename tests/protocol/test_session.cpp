@@ -5,6 +5,7 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/reconciler.h"
+#include "crypto/sha256.h"
 
 namespace vkey::protocol {
 namespace {
@@ -209,6 +210,22 @@ TEST(SecureLink, CrossSessionIdRejected) {
   Message sealed = link.seal(1, 1, {9, 9, 9});
   sealed.session_id = 2;  // spliced into another session
   EXPECT_FALSE(link.open(sealed).has_value());  // MAC covers the header
+}
+
+TEST(SecureLink, SubkeysArePinned) {
+  // Ciphertext pins the AES subkey and the tag pins the MAC subkey
+  // ("vkey-v1 encryption" / "vkey-v1 mac" under one HKDF-Extract of the
+  // key 00 01 .. 0f), so a change in how the subkeys are derived shows.
+  std::vector<std::uint8_t> bytes(16);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i);
+  }
+  const SecureLink link(BitVec::from_bytes(bytes, 128));
+  const Message sealed = link.seal(3, 9, {'p', 'i', 'n', 'n', 'e', 'd'});
+  EXPECT_EQ(crypto::to_hex(sealed.payload.data(), sealed.payload.size()),
+            "5662f4662b32");
+  EXPECT_EQ(crypto::to_hex(sealed.mac.data(), sealed.mac.size()),
+            "206925749a2408b1d078c2ee32d678aeca2b9f4dd13e377905ff4699d1fd4fc6");
 }
 
 }  // namespace

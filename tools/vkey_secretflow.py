@@ -2,7 +2,8 @@
 """vkey_secretflow.py — secret-flow taint analyzer for the Vehicle-Key tree.
 
 Tracks key material from its birthplaces (the privacy-amplified secret, HKDF
-extract/expand outputs, KeySchedule epoch keys, HMAC keys, AES round keys)
+extract/expand outputs, KeySchedule epoch keys, HMAC keys and their keyed
+midstates, AES round keys)
 through assignments and calls, and reports any flow into an observable sink:
 trace spans, flight-recorder events, metrics, JSON snapshots, bench-io
 artifacts, streams/printf, hex encoders, or unsealed wire frames. The runtime
@@ -25,8 +26,12 @@ Taint model (tokenizer backend)
 sources
     * calls: hkdf / hkdf_extract / hkdf_expand / derive_subkey /
       ratchet_secret / derive_epoch_keys / amplify / aes_key / expose /
-      expose_mut
-    * declarations of `SecretBuffer` variables
+      expose_mut, and `HmacKey(...)` constructions
+    * declarations of `SecretBuffer` and `HmacKey` variables, parameters
+      and functions returning them (an HmacKey holds the key ^ ipad /
+      key ^ opad midstates, which are key-equivalent: whoever holds them
+      can MAC under the key; a hasher taken from one with start() is
+      tainted by propagation)
     * identifiers whose name marks them as key material (secret, prk, okm,
       ikm, ipad, opad, keystream, round_keys, *_key / key_bytes families)
 propagation
@@ -108,13 +113,16 @@ ALLOWLIST = {
 # secret domain.
 SOURCE_CALL = re.compile(
     r"(?:\b(?:hkdf|hkdf_extract|hkdf_expand|derive_subkey|ratchet_secret|"
-    r"derive_epoch_keys|amplify|aes_key)\s*\()"
+    r"derive_epoch_keys|amplify|aes_key|HmacKey)\s*[({])"
     r"|(?:\.\s*expose(?:_mut)?\s*\(\s*\))"
 )
 
-# A declaration that mints a secret container.
+# A declaration that mints a secret container or a keyed HMAC midstate. At
+# namespace scope the captured name is a function returning one, so its
+# calls carry the taint through the rest of the translation unit.
 SECRET_DECL = re.compile(
-    r"\b(?:crypto\s*::\s*)?SecretBuffer\b[^;(]*?\b(\w+)\s*[,)({=;]")
+    r"\b(?:crypto\s*::\s*)?(?:SecretBuffer|HmacKey)\b[^;(]*?\b(\w+)"
+    r"\s*[,)({=;]")
 
 # Identifiers that are key material by naming convention, tracked-state or
 # not. Tight on purpose: `rekeys`, `session_id`, `keys()` must not match.
