@@ -8,7 +8,9 @@
 // reconciliation is tens of microseconds; Bob's total is an order of
 // magnitude below Alice's. Absolute numbers here reflect this host, not a
 // Pi; the stage *ratios* are the reproduced quantity. Training is offline
-// and excluded, as in the paper.
+// and outside the paper's table; the two Train_* stages time one minibatch
+// of each model's training step (forward, backward, ordered gradient
+// accumulation and the Adam update) so --check-perf guards it too.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -39,6 +41,7 @@ struct Fixture {
   BitVec key_alice;
   BitVec key_bob;
   std::vector<double> y_bob;
+  std::vector<TrainingSample> train_batch;  ///< one predictor minibatch
 
   Fixture()
       : predictor([] {
@@ -71,6 +74,17 @@ struct Fixture {
     key_alice.flip(7);
     key_alice.flip(40);
     y_bob = reconciler.encode_bob(key_bob);
+    train_batch.resize(predictor.config().batch_size);
+    for (auto& ts : train_batch) {
+      ts.alice_seq.resize(64);
+      ts.bob_seq.resize(64);
+      ts.bob_bits = BitVec(64);
+      for (std::size_t i = 0; i < 64; ++i) {
+        ts.alice_seq[i] = rng.uniform();
+        ts.bob_seq[i] = rng.uniform();
+        ts.bob_bits.set(i, rng.bernoulli(0.5));
+      }
+    }
   }
 };
 
@@ -151,6 +165,30 @@ void BM_Bob_PrivacyAmplification(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Bob_PrivacyAmplification);
+
+/// One predictor training minibatch (16 windows, the default batch size):
+/// BiLSTM tapes, both heads, BPTT, gradient accumulation and Adam.
+void BM_Train_PredictorMinibatch16(benchmark::State& state) {
+  auto& f = fixture();
+  PredictorQuantizer model(f.predictor);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.train(f.train_batch, 1));
+  }
+  state.SetItemsProcessed(state.iterations() * 16);
+}
+BENCHMARK(BM_Train_PredictorMinibatch16);
+
+/// One reconciler training minibatch (32 synthetic pairs, the default
+/// batch size), pair generation included.
+void BM_Train_ReconcilerMinibatch32(benchmark::State& state) {
+  auto& f = fixture();
+  AutoencoderReconciler model(f.reconciler);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.train(32, 1));
+  }
+  state.SetItemsProcessed(state.iterations() * 32);
+}
+BENCHMARK(BM_Train_ReconcilerMinibatch32);
 
 /// Console reporting plus a captured (name, real time, iterations) list so
 /// the run can be exported through the shared BenchReport JSON path. Wall

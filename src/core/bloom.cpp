@@ -32,6 +32,14 @@ BitVec PositionPreservingBloom::apply(const BitVec& key) const {
   return out;
 }
 
+void PositionPreservingBloom::apply(std::span<const std::uint8_t> key,
+                                    std::span<double> out) const {
+  VKEY_REQUIRE(key.size() == n_ && out.size() == n_,
+               "bloom input size mismatch");
+  for (std::size_t i = 0; i < n_; ++i)
+    out[perm_[i]] = (key[i] ^ pad_[i]) != 0 ? 1.0 : 0.0;
+}
+
 BitVec PositionPreservingBloom::invert(const BitVec& mapped) const {
   VKEY_REQUIRE(mapped.size() == n_, "bloom input size mismatch");
   BitVec out(n_);

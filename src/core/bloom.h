@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bitvec.h"
@@ -37,6 +38,10 @@ class PositionPreservingBloom {
 
   /// Forward map K -> K'.
   BitVec apply(const BitVec& key) const;
+
+  /// Allocation-free forward map of a key held as 0/1 bytes, written as
+  /// 0.0/1.0 doubles: the bits apply() produces.
+  void apply(std::span<const std::uint8_t> key, std::span<double> out) const;
 
   /// Inverse map K' -> K.
   BitVec invert(const BitVec& mapped) const;

@@ -12,15 +12,24 @@
 namespace vkey::core {
 
 namespace {
-/// Per-step input: [value, phase within the mirror pairing, progress].
-nn::Seq to_seq(const nn::Vec& v, std::size_t phase_period) {
-  nn::Seq s(v.size());
+/// Per-step input: [value, phase within the mirror pairing, progress],
+/// written as v.size() rows of 3 doubles.
+void write_features(const nn::Vec& v, std::size_t phase_period, double* out) {
   const double n = static_cast<double>(v.size());
   const double period = static_cast<double>(std::max<std::size_t>(1, phase_period));
   for (std::size_t t = 0; t < v.size(); ++t) {
-    s[t] = {v[t], static_cast<double>(t % phase_period) / period,
-            static_cast<double>(t) / n};
+    out[3 * t] = v[t];
+    out[3 * t + 1] = static_cast<double>(t % phase_period) / period;
+    out[3 * t + 2] = static_cast<double>(t) / n;
   }
+}
+
+nn::Seq to_seq(const nn::Vec& v, std::size_t phase_period) {
+  nn::Vec rows(3 * v.size());
+  write_features(v, phase_period, rows.data());
+  nn::Seq s(v.size());
+  for (std::size_t t = 0; t < v.size(); ++t)
+    s[t].assign(rows.begin() + 3 * t, rows.begin() + 3 * (t + 1));
   return s;
 }
 }  // namespace
@@ -51,54 +60,32 @@ std::vector<nn::Parameter*> PredictorQuantizer::parameters() {
   return p;
 }
 
-double PredictorQuantizer::train_one(const TrainingSample& s) {
-  VKEY_REQUIRE(s.alice_seq.size() == cfg_.seq_len, "sample seq_len mismatch");
-  VKEY_REQUIRE(s.bob_seq.size() == cfg_.seq_len, "sample target mismatch");
-  VKEY_REQUIRE(s.bob_bits.size() == cfg_.key_bits,
-               "sample bits width mismatch");
-
-  // Forward.
-  const nn::Seq h = bilstm_.forward(to_seq(s.alice_seq, cfg_.phase_period));
-  nn::Vec flat;
-  flat.reserve(cfg_.seq_len * 2 * cfg_.hidden);
-  for (const auto& ht : h) flat.insert(flat.end(), ht.begin(), ht.end());
-  const nn::Vec y_hat = pred_head_.forward(flat);
-  const nn::Vec logits = quant_head_.forward(y_hat);
-
-  // Joint loss.
-  const auto mse = nn::mse_loss(y_hat, s.bob_seq);
-  const auto bce = nn::bce_with_logits(logits, s.bob_bits.to_doubles());
-  const double loss = cfg_.theta * mse.loss + (1.0 - cfg_.theta) * bce.loss;
-
-  // Backward: BCE through the quantization head into y_hat, plus the MSE
-  // gradient directly on y_hat.
-  nn::Vec dlogits(bce.grad.size());
-  for (std::size_t i = 0; i < dlogits.size(); ++i) {
-    dlogits[i] = (1.0 - cfg_.theta) * bce.grad[i];
-  }
-  nn::Vec dy = quant_head_.backward(dlogits);
-  for (std::size_t i = 0; i < dy.size(); ++i) {
-    dy[i] += cfg_.theta * mse.grad[i];
-  }
-  const nn::Vec dflat = pred_head_.backward(dy);
-
-  nn::Seq dh(cfg_.seq_len, nn::Vec(2 * cfg_.hidden));
-  for (std::size_t t = 0; t < cfg_.seq_len; ++t) {
-    std::copy(dflat.begin() + static_cast<std::ptrdiff_t>(t * 2 * cfg_.hidden),
-              dflat.begin() +
-                  static_cast<std::ptrdiff_t>((t + 1) * 2 * cfg_.hidden),
-              dh[t].begin());
-  }
-  bilstm_.backward(dh);
-  return loss;
-}
-
 TrainReport PredictorQuantizer::train(std::span<const TrainingSample> samples,
                                       std::size_t epochs) {
   VKEY_REQUIRE(!samples.empty(), "no training samples");
+  VKEY_REQUIRE(cfg_.batch_size >= 1, "batch size must be >= 1");
+  const std::size_t n = samples.size();
+  const std::size_t t_len = cfg_.seq_len;
+  const std::size_t bits = cfg_.key_bits;
+  const std::size_t flat_len = t_len * bilstm_.output_size();
+  const std::size_t per_seq = t_len * 3;  // write_features per sequence
+  for (const TrainingSample& s : samples) {
+    VKEY_REQUIRE(s.alice_seq.size() == t_len, "sample seq_len mismatch");
+    VKEY_REQUIRE(s.bob_seq.size() == t_len, "sample target mismatch");
+    VKEY_REQUIRE(s.bob_bits.size() == bits, "sample bits width mismatch");
+  }
   nn::Adam opt(parameters(), cfg_.learning_rate);
 
-  std::vector<std::size_t> order(samples.size());
+  // Every buffer the minibatches use, sized once: row b of each matrix is
+  // minibatch member b. `flat` holds the BiLSTM output, then (in place)
+  // its gradient.
+  const std::size_t cap = std::min(cfg_.batch_size, n);
+  nn::BiLstm::Tapes tapes = bilstm_.make_tapes(cap, t_len);
+  nn::Vec x(cap * per_seq), flat(cap * flat_len), targets(cap * bits);
+  nn::Vec y_hat(cap * t_len), dy(cap * t_len), mse_grad(cap * t_len);
+  nn::Vec logits(cap * bits), dlogits(cap * bits);
+
+  std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
 
   TrainReport report;
@@ -109,17 +96,44 @@ TrainReport PredictorQuantizer::train(std::span<const TrainingSample> samples,
                 order[static_cast<std::size_t>(rng_.uniform_int(i))]);
     }
     double epoch_loss = 0.0;
-    std::size_t in_batch = 0;
-    for (std::size_t idx : order) {
-      epoch_loss += train_one(samples[idx]);
-      if (++in_batch == cfg_.batch_size) {
-        opt.step(in_batch);
-        in_batch = 0;
+    for (std::size_t start = 0; start < n; start += cfg_.batch_size) {
+      const std::size_t bs = std::min(cfg_.batch_size, n - start);
+      for (std::size_t b = 0; b < bs; ++b) {
+        const TrainingSample& s = samples[order[start + b]];
+        write_features(s.alice_seq, cfg_.phase_period, &x[b * per_seq]);
+        for (std::size_t k = 0; k < bits; ++k)
+          targets[b * bits + k] = s.bob_bits.get(k);
       }
+      bilstm_.forward_batch(x.data(), bs, tapes, flat.data(), 0);
+      pred_head_.forward_batch(flat.data(), bs, y_hat.data());
+      quant_head_.forward_batch(y_hat.data(), bs, logits.data());
+
+      // Joint loss per sample, in sample order. The BCE gradient flows back
+      // through the quantization head into y_hat, where the MSE gradient
+      // joins it.
+      for (std::size_t b = 0; b < bs; ++b) {
+        const std::size_t idx = order[start + b];
+        const std::span<double> dl(&dlogits[b * bits], bits);
+        const double mse = nn::mse_loss(
+            std::span<const double>(&y_hat[b * t_len], t_len),
+            samples[idx].bob_seq,
+            std::span<double>(&mse_grad[b * t_len], t_len));
+        const double bce = nn::bce_with_logits(
+            std::span<const double>(&logits[b * bits], bits),
+            std::span<const double>(&targets[b * bits], bits), dl);
+        epoch_loss += cfg_.theta * mse + (1.0 - cfg_.theta) * bce;
+        for (double& g : dl) g = (1.0 - cfg_.theta) * g;
+      }
+      quant_head_.backward_batch(y_hat.data(), logits.data(), dlogits.data(),
+                                 bs, dy.data());
+      for (std::size_t i = 0; i < bs * t_len; ++i)
+        dy[i] += cfg_.theta * mse_grad[i];
+      pred_head_.backward_batch(flat.data(), y_hat.data(), dy.data(), bs,
+                                flat.data());
+      bilstm_.backward_batch(flat.data(), bs, tapes, 0);
+      opt.step(bs, 0);
     }
-    if (in_batch > 0) opt.step(in_batch);
-    report.epoch_loss.push_back(epoch_loss /
-                                static_cast<double>(samples.size()));
+    report.epoch_loss.push_back(epoch_loss / static_cast<double>(n));
   }
   report.final_loss = report.epoch_loss.back();
   return report;

@@ -56,7 +56,12 @@ class PredictorQuantizer {
 
   const PredictorConfig& config() const { return cfg_; }
 
-  /// Train for `epochs` epochs over the samples (Adam, mini-batches).
+  /// Train for `epochs` epochs over the samples (Adam, mini-batches). Each
+  /// minibatch runs as matrices: BiLSTM forward tapes (lanes over samples),
+  /// both heads batched, per-sample losses in order, batched head backward,
+  /// BPTT (lanes over samples), one ordered gradient accumulation, then the
+  /// Adam step (lanes over element ranges). Lanes follow the process default
+  /// and never change a bit.
   TrainReport train(std::span<const TrainingSample> samples,
                     std::size_t epochs);
 
@@ -87,8 +92,6 @@ class PredictorQuantizer {
   double evaluate_loss(std::span<const TrainingSample> samples) const;
 
  private:
-  double train_one(const TrainingSample& s);  ///< fwd+bwd, returns loss
-
   PredictorConfig cfg_;
   vkey::Rng rng_;
   nn::BiLstm bilstm_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <utility>
 
 #include "common/error.h"
@@ -55,168 +56,120 @@ std::vector<nn::Parameter*> AutoencoderReconciler::parameters() {
   return p;
 }
 
-/// One sample's gradient, held apart from the shared parameters so a batch
-/// can fan out across worker lanes; sized lazily to the layers that are
-/// actually trainable under the current config.
-struct AutoencoderReconciler::GradSink {
-  nn::Vec f1_w, f1_b;
-  nn::Vec f2_w, f2_b;
-  std::vector<nn::Dense::Cache> decoder_caches;
-  std::vector<nn::Vec> dec_w, dec_b;
-
-  void reset(const AutoencoderReconciler& r) {
-    const bool train_encoder = !r.cfg_.freeze_encoder;
-    auto zero = [](nn::Vec& v, std::size_t n) { v.assign(n, 0.0); };
-    if (train_encoder) {
-      zero(f1_w, r.f1_.weights().value.size());
-      zero(f1_b, r.f1_.bias().value.size());
-      if (!r.cfg_.tie_encoders) {
-        zero(f2_w, r.f2_.weights().value.size());
-        zero(f2_b, r.f2_.bias().value.size());
-      }
-    }
-    decoder_caches.resize(r.decoder_.size());
-    dec_w.resize(r.decoder_.size());
-    dec_b.resize(r.decoder_.size());
-    for (std::size_t l = 0; l < r.decoder_.size(); ++l) {
-      zero(dec_w[l], r.decoder_[l].weights().value.size());
-      zero(dec_b[l], r.decoder_[l].bias().value.size());
-    }
-  }
-};
-
-double AutoencoderReconciler::train_one_into(const BitVec& key_bob,
-                                             const BitVec& key_alice,
-                                             GradSink& sink) const {
-  const BitVec kb = bloom_.apply(key_bob);
-  const BitVec ka = bloom_.apply(key_alice);
-  const BitVec e = kb ^ ka;
-  const bool train_encoder = !cfg_.freeze_encoder;
-
-  nn::Vec h(cfg_.code_dim);
-  nn::Dense::Cache f1_cache, f2_cache;
-  if (cfg_.tie_encoders) {
-    // Tied linear encoders: h = f(K'_B) - f(K'_A) = W (K'_B - K'_A); the
-    // bias cancels, so training on the difference vector is exactly the
-    // weight-shared gradient (g x kb - g x ka = g x diff).
-    const auto db = kb.to_doubles();
-    const auto da = ka.to_doubles();
-    nn::Vec diff(db.size());
-    for (std::size_t i = 0; i < diff.size(); ++i) diff[i] = db[i] - da[i];
-    h = f1_.forward(diff, f1_cache);
-  } else {
-    const nn::Vec yb = f1_.forward(kb.to_doubles(), f1_cache);
-    const nn::Vec ya = f2_.forward(ka.to_doubles(), f2_cache);
-    for (std::size_t i = 0; i < h.size(); ++i) h[i] = yb[i] - ya[i];
-  }
-
-  nn::Vec x = h;
-  for (std::size_t l = 0; l < decoder_.size(); ++l) {
-    x = decoder_[l].forward(x, sink.decoder_caches[l]);
-  }
-
-  const auto bce = nn::bce_with_logits(x, e.to_doubles());
-
-  // Backward through the decoder stack.
-  nn::Vec g = bce.grad;
-  for (std::size_t l = decoder_.size(); l-- > 0;) {
-    g = decoder_[l].backward(sink.decoder_caches[l], g, sink.dec_w[l],
-                             sink.dec_b[l]);
-  }
-  if (train_encoder) {
-    if (cfg_.tie_encoders) {
-      f1_.backward(f1_cache, g, sink.f1_w, sink.f1_b);
-    } else {
-      // h = yb - ya: gradient splits with opposite signs.
-      f1_.backward(f1_cache, g, sink.f1_w, sink.f1_b);
-      nn::Vec neg(g.size());
-      for (std::size_t i = 0; i < g.size(); ++i) neg[i] = -g[i];
-      f2_.backward(f2_cache, neg, sink.f2_w, sink.f2_b);
-    }
-  }
-  return bce.loss;
-}
-
 double AutoencoderReconciler::train(std::size_t num_samples,
                                     std::size_t epochs) {
   VKEY_REQUIRE(num_samples >= 1 && epochs >= 1, "nothing to train on");
   nn::Adam opt(parameters(), cfg_.learning_rate);
+  const std::size_t n = num_samples;
+  const std::size_t bits = cfg_.key_bits;
+  const bool tied = cfg_.tie_encoders;
+  const bool train_encoder = !cfg_.freeze_encoder;
 
-  // Pre-generate the synthetic pair set so epochs revisit the same data.
-  // Each pair draws from its own hash-derived stream, making generation
-  // order-free: any lane can produce pair s and the result is identical.
+  // Pre-generate the synthetic pair set (K_B, K_A as 0/1 bytes) so epochs
+  // revisit the same data. Each pair draws from its own hash-derived
+  // stream, making generation order-free: any lane can produce pair s and
+  // the result is identical.
+  std::vector<std::uint8_t> keys(2 * n * bits);
   const std::uint64_t pair_seed = hash_combine64(cfg_.seed, 0x70616972ULL);
-  auto pairs = parallel::parallel_map_n(
-      num_samples,
+  parallel::parallel_for(
+      n,
       [&](std::size_t s) {
         vkey::Rng rng(hash_combine64(pair_seed, s));
-        BitVec kb(cfg_.key_bits);
-        for (std::size_t i = 0; i < cfg_.key_bits; ++i) {
-          kb.set(i, rng.bernoulli(0.5));
-        }
+        std::uint8_t* kb = &keys[2 * s * bits];
+        std::uint8_t* ka = kb + bits;
+        for (std::size_t i = 0; i < bits; ++i) kb[i] = rng.bernoulli(0.5);
         const double ber = rng.uniform(cfg_.train_ber_lo, cfg_.train_ber_hi);
-        BitVec ka = kb;
-        for (std::size_t i = 0; i < cfg_.key_bits; ++i) {
-          if (rng.bernoulli(ber)) ka.flip(i);
-        }
-        return std::pair<BitVec, BitVec>(std::move(kb), std::move(ka));
+        for (std::size_t i = 0; i < bits; ++i)
+          ka[i] = kb[i] ^ static_cast<std::uint8_t>(rng.bernoulli(ber));
       },
       cfg_.threads);
 
-  // Batched forward/backward: the samples of one mini-batch fan out, each
-  // writing its loss and gradient into a private per-slot sink; the fold
-  // into the shared parameter gradients below is strictly in sample order,
-  // so the non-associative double sums match the sequential reference.
-  const std::size_t batch = cfg_.batch_size;
-  std::vector<GradSink> sinks(std::min(batch, pairs.size()));
-  std::vector<double> losses(sinks.size());
+  // Minibatch matrices, sized once; row b is minibatch member b. acts[l]
+  // is the input of decoder layer l (acts[0] = h, the code difference),
+  // grads[l] its gradient.
+  const std::size_t cap = std::min(cfg_.batch_size, n);
+  auto rows = [cap](std::size_t width) { return nn::Vec(cap * width); };
+  nn::Vec xb = rows(bits), xa = rows(bits), target = rows(bits);
+  nn::Vec yb = rows(cfg_.code_dim), ya = rows(cfg_.code_dim);
+  nn::Vec neg = rows(cfg_.code_dim);
+  std::vector<nn::Vec> acts{rows(cfg_.code_dim)};
+  acts.reserve(decoder_.size() + 1);
+  for (const nn::Dense& layer : decoder_)
+    acts.push_back(rows(layer.out_size()));
+  std::vector<nn::Vec> grads = acts;
 
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), 0);
+  const std::size_t depth = decoder_.size();
   double last_epoch_loss = 0.0;
   for (std::size_t e = 0; e < epochs; ++e) {
     // Shuffle (sequential by design: the epoch permutation is part of the
     // deterministic training schedule, not per-index work).
-    for (std::size_t i = pairs.size(); i > 1; --i) {
-      std::swap(pairs[i - 1],
-                pairs[static_cast<std::size_t>(rng_.uniform_int(i))]);
+    for (std::size_t i = order.size(); i > 1; --i) {
+      std::swap(order[i - 1],
+                order[static_cast<std::size_t>(rng_.uniform_int(i))]);
     }
     double epoch_loss = 0.0;
-    for (std::size_t start = 0; start < pairs.size(); start += batch) {
-      const std::size_t bs = std::min(batch, pairs.size() - start);
-      parallel::parallel_for(
-          bs,
-          [&](std::size_t j) {
-            sinks[j].reset(*this);
-            losses[j] = train_one_into(pairs[start + j].first,
-                                       pairs[start + j].second, sinks[j]);
-          },
-          cfg_.threads);
-      for (std::size_t j = 0; j < bs; ++j) {
-        epoch_loss += losses[j];
-        fold_sink(sinks[j]);
+    for (std::size_t start = 0; start < n; start += cfg_.batch_size) {
+      const std::size_t bs = std::min(cfg_.batch_size, n - start);
+      // Bloom-map both keys; the target is the mapped mismatch e.
+      for (std::size_t b = 0; b < bs; ++b) {
+        const std::uint8_t* kb = &keys[2 * order[start + b] * bits];
+        double* rb = &xb[b * bits];
+        double* ra = &xa[b * bits];
+        bloom_.apply({kb, bits}, {rb, bits});
+        bloom_.apply({kb + bits, bits}, {ra, bits});
+        for (std::size_t i = 0; i < bits; ++i)
+          target[b * bits + i] = rb[i] != ra[i] ? 1.0 : 0.0;
+        // Tied linear encoders: h = f(K'_B) - f(K'_A) = W (K'_B - K'_A);
+        // the bias cancels, so the encoder sees the difference vector.
+        if (tied)
+          for (std::size_t i = 0; i < bits; ++i) rb[i] -= ra[i];
       }
-      opt.step(bs);
+
+      // Forward, layer by layer over the whole minibatch.
+      if (tied) {
+        f1_.forward_batch(xb.data(), bs, acts[0].data());
+      } else {
+        f1_.forward_batch(xb.data(), bs, yb.data());
+        f2_.forward_batch(xa.data(), bs, ya.data());
+        for (std::size_t i = 0; i < bs * cfg_.code_dim; ++i)
+          acts[0][i] = yb[i] - ya[i];
+      }
+      for (std::size_t l = 0; l < depth; ++l)
+        decoder_[l].forward_batch(acts[l].data(), bs, acts[l + 1].data());
+      for (std::size_t b = 0; b < bs; ++b) {
+        epoch_loss += nn::bce_with_logits(
+            std::span<const double>(&acts[depth][b * bits], bits),
+            std::span<const double>(&target[b * bits], bits),
+            std::span<double>(&grads[depth][b * bits], bits));
+      }
+
+      // Backward: every gradient sum runs here, in sample order.
+      for (std::size_t l = depth; l-- > 0;) {
+        double* dx = l > 0 || train_encoder ? grads[l].data() : nullptr;
+        decoder_[l].backward_batch(acts[l].data(), acts[l + 1].data(),
+                                   grads[l + 1].data(), bs, dx);
+      }
+      if (train_encoder) {
+        if (tied) {
+          // The tied bias is pinned at zero (see parameters()): no gradient.
+          f1_.backward_batch(xb.data(), acts[0].data(), grads[0].data(), bs,
+                             nullptr, /*bias_grad=*/false);
+        } else {
+          // h = yb - ya: the gradient splits with opposite signs.
+          for (std::size_t i = 0; i < bs * cfg_.code_dim; ++i)
+            neg[i] = -grads[0][i];
+          f1_.backward_batch(xb.data(), yb.data(), grads[0].data(), bs,
+                             nullptr);
+          f2_.backward_batch(xa.data(), ya.data(), neg.data(), bs, nullptr);
+        }
+      }
+      opt.step(bs, cfg_.threads);
     }
-    last_epoch_loss = epoch_loss / static_cast<double>(pairs.size());
+    last_epoch_loss = epoch_loss / static_cast<double>(n);
   }
   return last_epoch_loss;
-}
-
-void AutoencoderReconciler::fold_sink(const GradSink& sink) {
-  auto add = [](nn::Vec& dst, const nn::Vec& src) {
-    for (std::size_t i = 0; i < src.size(); ++i) dst[i] += src[i];
-  };
-  if (!cfg_.freeze_encoder) {
-    add(f1_.weights_grad(), sink.f1_w);
-    add(f1_.bias_grad(), sink.f1_b);
-    if (!cfg_.tie_encoders) {
-      add(f2_.weights_grad(), sink.f2_w);
-      add(f2_.bias_grad(), sink.f2_b);
-    }
-  }
-  for (std::size_t l = 0; l < decoder_.size(); ++l) {
-    add(decoder_[l].weights_grad(), sink.dec_w[l]);
-    add(decoder_[l].bias_grad(), sink.dec_b[l]);
-  }
 }
 
 std::vector<double> AutoencoderReconciler::encode_bob(

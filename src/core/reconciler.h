@@ -59,12 +59,12 @@ struct ReconcilerConfig {
   std::size_t max_decode_iterations = 40;
   std::uint64_t seed = 11;
   std::uint64_t session_seed = 0x5e551011;  ///< Bloom parameters
-  /// Worker lanes for training (synthetic-pair generation and the batched
-  /// forward/backward). 0 = process default. Training is bit-reproducible
-  /// for every value: each synthetic pair draws from its own
-  /// hash_combine64(seed, index)-derived stream and per-sample gradients
-  /// are reduced in sample order (see DESIGN.md "Parallel execution &
-  /// determinism contract").
+  /// Worker lanes for training: synthetic-pair generation and the Adam
+  /// update (split by element range). 0 = process default. Training is
+  /// bit-reproducible for every value: each synthetic pair draws from its
+  /// own hash_combine64(seed, index)-derived stream, and every gradient sum
+  /// runs on the caller through the ordered GEMM, in sample order (see
+  /// DESIGN.md "Parallel execution & determinism contract").
   std::size_t threads = 0;
 };
 
@@ -74,8 +74,9 @@ class AutoencoderReconciler {
 
   const ReconcilerConfig& config() const { return cfg_; }
 
-  /// Train on `num_samples` synthetic key pairs for `epochs` epochs.
-  /// Returns the final mean training loss.
+  /// Train on `num_samples` synthetic key pairs for `epochs` epochs, one
+  /// minibatch at a time as matrices, layer by layer. Returns the final
+  /// mean training loss.
   double train(std::size_t num_samples, std::size_t epochs);
 
   /// Bob's side: Bloom-map the key and encode; the returned vector is the
@@ -114,15 +115,6 @@ class AutoencoderReconciler {
   std::vector<nn::Parameter*> parameters();
 
  private:
-  /// Per-sample gradient sink for the batched-parallel training path: one
-  /// worker computes a sample's full gradient into its own sink; the
-  /// training loop then folds the sinks into the shared parameters in
-  /// sample order so the sum is independent of the schedule.
-  struct GradSink;
-  double train_one_into(const BitVec& key_bob, const BitVec& key_alice,
-                        GradSink& sink) const;
-  void fold_sink(const GradSink& sink);
-
   ReconcilerConfig cfg_;
   vkey::Rng rng_;
   PositionPreservingBloom bloom_;

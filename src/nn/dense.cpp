@@ -1,5 +1,7 @@
 #include "nn/dense.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/error.h"
@@ -72,39 +74,63 @@ Vec Dense::infer_reference(const Vec& x) const {
     for (std::size_t i = 0; i < in_; ++i) s += wrow[i] * x[i];
     z[o] = s;
   }
-  return activate(z);
+  activate(z.data(), z.size());
+  return z;
 }
 
-Vec Dense::activate(const Vec& z) const {
+void Dense::activate(double* z, std::size_t n) const {
   switch (act_) {
     case Activation::kNone:
-      return z;
+      return;
     case Activation::kSigmoid:
-      return sigmoid_vec(z);
+      for (std::size_t i = 0; i < n; ++i) z[i] = sigmoid(z[i]);
+      return;
     case Activation::kTanh:
-      return tanh_vec(z);
-    case Activation::kRelu: {
-      Vec y(z.size());
-      for (std::size_t i = 0; i < z.size(); ++i) y[i] = z[i] > 0 ? z[i] : 0.0;
-      return y;
-    }
+      for (std::size_t i = 0; i < n; ++i) z[i] = std::tanh(z[i]);
+      return;
+    case Activation::kRelu:
+      for (std::size_t i = 0; i < n; ++i) z[i] = z[i] > 0 ? z[i] : 0.0;
+      return;
   }
   throw vkey::Error("unknown activation");
 }
 
 Vec Dense::forward(const Vec& x) {
+  VKEY_REQUIRE(x.size() == in_, "Dense input size mismatch");
   last_x_ = x;
-  last_y_ = activate(affine(x, /*quantized=*/false));
+  last_y_.resize(out_);
+  forward_batch(x.data(), 1, last_y_.data());
   return last_y_;
 }
 
-Vec Dense::forward(const Vec& x, Cache& cache) const {
-  cache.x = x;
-  cache.y = activate(affine(x, /*quantized=*/false));
-  return cache.y;
+void Dense::forward_batch(const double* x, std::size_t batch,
+                          double* y) const {
+  if (batch == 0) return;
+  dense_calls().add(batch);
+  dense_flops().add(2 * static_cast<std::uint64_t>(in_) * out_ * batch);
+  const PackedMatrix& pm = packed();
+  // matvec_batch takes member pointers; a fixed stack block of them keeps
+  // the training path allocation-free (per-member arithmetic is the same
+  // for any block split).
+  constexpr std::size_t kBlock = 64;
+  std::array<const double*, kBlock> xp{};
+  std::array<double*, kBlock> yp{};
+  for (std::size_t b0 = 0; b0 < batch; b0 += kBlock) {
+    const std::size_t nb = std::min(kBlock, batch - b0);
+    for (std::size_t r = 0; r < nb; ++r) {
+      xp[r] = x + (b0 + r) * in_;
+      yp[r] = y + (b0 + r) * out_;
+    }
+    pm.matvec_batch(xp.data(), nb, b_.value.data(), yp.data());
+  }
+  activate(y, batch * out_);
 }
 
-Vec Dense::infer(const Vec& x) const { return activate(affine(x, quantized_)); }
+Vec Dense::infer(const Vec& x) const {
+  Vec z = affine(x, quantized_);
+  activate(z.data(), z.size());
+  return z;
+}
 
 std::vector<Vec> Dense::infer_batch(const std::vector<const Vec*>& xs) const {
   std::vector<Vec> ys(xs.size());
@@ -125,7 +151,7 @@ std::vector<Vec> Dense::infer_batch(const std::vector<const Vec*>& xs) const {
           QuantizedMatrix::quantize_input(xs[i]->data(), in_, xq.data());
       ys[i].resize(out_);
       qm.matvec(xq.data(), x_scale, b_.value.data(), ys[i].data());
-      ys[i] = activate(ys[i]);
+      activate(ys[i].data(), out_);
     }
     return ys;
   }
@@ -137,56 +163,51 @@ std::vector<Vec> Dense::infer_batch(const std::vector<const Vec*>& xs) const {
     yp[i] = ys[i].data();
   }
   packed().matvec_batch(xp.data(), xs.size(), b_.value.data(), yp.data());
-  for (auto& y : ys) y = activate(y);
+  for (auto& y : ys) activate(y.data(), out_);
   return ys;
 }
 
-Vec Dense::backward_impl(const Vec& x, const Vec& y, const Vec& grad_out,
-                         Vec& grad_w, Vec& grad_b) const {
-  VKEY_REQUIRE(grad_out.size() == out_, "Dense grad size mismatch");
-  VKEY_REQUIRE(x.size() == in_, "Dense backward before forward");
-
-  // Fold the activation derivative into the output gradient.
-  Vec dz = grad_out;
+void Dense::backward_batch(const double* x, const double* y, double* dy,
+                           std::size_t batch, double* dx, bool bias_grad) {
+  if (batch == 0) return;
+  // Fold the activation derivative into the output gradient: dy -> dz.
+  const std::size_t n = batch * out_;
   switch (act_) {
     case Activation::kNone:
       break;
     case Activation::kSigmoid:
-      for (std::size_t o = 0; o < out_; ++o) dz[o] *= dsigmoid_from_y(y[o]);
+      for (std::size_t k = 0; k < n; ++k) dy[k] *= dsigmoid_from_y(y[k]);
       break;
     case Activation::kTanh:
-      for (std::size_t o = 0; o < out_; ++o) dz[o] *= dtanh_from_y(y[o]);
+      for (std::size_t k = 0; k < n; ++k) dy[k] *= dtanh_from_y(y[k]);
       break;
     case Activation::kRelu:
-      for (std::size_t o = 0; o < out_; ++o)
-        if (y[o] <= 0.0) dz[o] = 0.0;
+      for (std::size_t k = 0; k < n; ++k)
+        if (y[k] <= 0.0) dy[k] = 0.0;
       break;
   }
-
-  Vec dx(in_, 0.0);
-  for (std::size_t o = 0; o < out_; ++o) {
-    const double g = dz[o];
-    grad_b[o] += g;
-    double* gw = &grad_w[o * in_];
-    const double* wrow = &w_.value[o * in_];
-    for (std::size_t i = 0; i < in_; ++i) {
-      gw[i] += g * x[i];
-      dx[i] += g * wrow[i];
-    }
+  const double* dz = dy;
+  if (bias_grad) {
+    for (std::size_t r = 0; r < batch; ++r)
+      for (std::size_t o = 0; o < out_; ++o) b_.grad[o] += dz[r * out_ + o];
   }
-  return dx;
+  // dW += dZ^T X: element (o, i) adds dz[r][o] * x[r][i] for r ascending.
+  gemm_ordered(out_, in_, batch, dz, 1, out_, x, in_, w_.grad.data(), in_);
+  if (dx != nullptr) {
+    // dX = dZ W: element (r, i) sums dz[r][o] * w[o][i] for o ascending.
+    std::fill(dx, dx + batch * in_, 0.0);
+    gemm_ordered(batch, in_, out_, dz, out_, 1, w_.value.data(), in_, dx,
+                 in_);
+  }
 }
 
 Vec Dense::backward(const Vec& grad_out) {
-  return backward_impl(last_x_, last_y_, grad_out, w_.grad, b_.grad);
-}
-
-Vec Dense::backward(const Cache& cache, const Vec& grad_out, Vec& grad_w,
-                    Vec& grad_b) const {
-  VKEY_REQUIRE(grad_w.size() == w_.value.size() &&
-                   grad_b.size() == b_.value.size(),
-               "Dense gradient buffer size mismatch");
-  return backward_impl(cache.x, cache.y, grad_out, grad_w, grad_b);
+  VKEY_REQUIRE(grad_out.size() == out_, "Dense grad size mismatch");
+  VKEY_REQUIRE(last_x_.size() == in_, "Dense backward before forward");
+  Vec dz = grad_out;
+  Vec dx(in_);
+  backward_batch(last_x_.data(), last_y_.data(), dz.data(), 1, dx.data());
+  return dx;
 }
 
 }  // namespace vkey::nn

@@ -1,9 +1,11 @@
 // Fully connected layer: y = W x + b.
 //
-// forward() caches the input so an immediately following backward() can
-// accumulate weight gradients; the usual usage is per-sample
-// forward -> backward with gradients summed over a mini-batch, then one
-// optimizer step.
+// Training runs on whole minibatches held as row-major matrices:
+// forward_batch() maps rows of X to rows of Y, and backward_batch()
+// accumulates the weight and bias gradients over the rows in row order
+// through the ordered GEMM kernel (gemm.h), then one optimizer step
+// consumes them. forward()/backward() are the batch-of-1 forms; forward()
+// keeps its input so the following backward() can use it.
 #pragma once
 
 #include <vector>
@@ -22,21 +24,13 @@ class Dense {
   Dense(std::size_t in, std::size_t out, vkey::Rng& rng,
         Activation act = Activation::kNone);
 
-  /// Externally owned forward activations for the batched-parallel
-  /// training path: many threads can run forward(x, cache) /
-  /// backward(cache, ...) concurrently against the same frozen weights,
-  /// each with a private Cache and gradient buffers.
-  struct Cache {
-    Vec x;  ///< layer input
-    Vec y;  ///< post-activation output
-  };
-
-  /// Forward pass; caches input and (for nonlinear activations) output.
+  /// Forward pass of one sample; keeps x and y for the next backward().
   Vec forward(const Vec& x);
 
-  /// Thread-safe forward writing the activations into `cache` instead of
-  /// the layer (same arithmetic as forward(x), bit for bit).
-  Vec forward(const Vec& x, Cache& cache) const;
+  /// Training forward over `batch` rows: x is batch x in_size(), y receives
+  /// batch x out_size() post-activation rows. Bit-identical to forward()
+  /// per row.
+  void forward_batch(const double* x, std::size_t batch, double* y) const;
 
   /// Forward without caching (inference-only; usable concurrently).
   Vec infer(const Vec& x) const;
@@ -56,15 +50,19 @@ class Dense {
   /// oracle for the packed kernels (tests only; no metrics, no cache).
   Vec infer_reference(const Vec& x) const;
 
-  /// Backward pass for the most recent forward(). Accumulates gradients
+  /// Backward pass for the most recent forward(): accumulates gradients
   /// into the layer parameters and returns dL/dx.
   Vec backward(const Vec& grad_out);
 
-  /// Thread-safe backward for a forward(x, cache) pass: accumulates the
-  /// weight/bias gradients into caller-owned buffers (sized like the
-  /// parameters) and returns dL/dx. Shares the arithmetic of backward().
-  Vec backward(const Cache& cache, const Vec& grad_out, Vec& grad_w,
-               Vec& grad_b) const;
+  /// Backward over a forward_batch(x, batch, y) pass. `dy` holds dL/dy rows
+  /// on entry and dL/dz (activation derivative folded in) on return. The
+  /// bias and weight gradients accumulate over the rows in row order, each
+  /// element exactly as `batch` sequential backward() calls would add it;
+  /// dL/dx rows go to `dx` (batch x in_size()) unless it is null; dx may
+  /// alias x, which is read before dx is written. With `bias_grad` false
+  /// the bias gradient is left untouched.
+  void backward_batch(const double* x, const double* y, double* dy,
+                      std::size_t batch, double* dx, bool bias_grad = true);
 
   std::size_t in_size() const { return in_; }
   std::size_t out_size() const { return out_; }
@@ -72,16 +70,11 @@ class Dense {
   std::vector<Parameter*> parameters() { return {&w_, &b_}; }
   const Parameter& weights() const { return w_; }
   const Parameter& bias() const { return b_; }
-  /// Mutable gradient accumulators, for folding externally computed
-  /// per-sample gradients (see backward(cache, ...)) into the layer.
-  Vec& weights_grad() { return w_.grad; }
-  Vec& bias_grad() { return b_.grad; }
 
  private:
   Vec affine(const Vec& x, bool quantized) const;
-  Vec activate(const Vec& z) const;
-  Vec backward_impl(const Vec& x, const Vec& y, const Vec& grad_out,
-                    Vec& grad_w, Vec& grad_b) const;
+  /// Applies the activation to n values in place.
+  void activate(double* z, std::size_t n) const;
   const PackedMatrix& packed() const;
   const QuantizedMatrix& quant() const;
 

@@ -211,6 +211,215 @@ void PackedMatrix::matvec_batch(const double* const* xs, std::size_t batch,
 }
 
 namespace {
+
+// The naive element loop of gemm_ordered over rows [i0, m) x columns
+// [j0, n): the scalar tail of the blocked paths and the non-AVX2 build.
+void gemm_ordered_scalar(std::size_t i0, std::size_t m, std::size_t j0,
+                         std::size_t n, std::size_t k, const double* a,
+                         std::size_t a_row, std::size_t a_col,
+                         const double* b, std::size_t ldb, double* c,
+                         std::size_t ldc) {
+  for (std::size_t i = i0; i < m; ++i) {
+    const double* ai = a + i * a_row;
+    for (std::size_t j = j0; j < n; ++j) {
+      double s = c[i * ldc + j];
+      for (std::size_t p = 0; p < k; ++p) s += ai[p * a_col] * b[p * ldb + j];
+      c[i * ldc + j] = s;
+    }
+  }
+}
+
+#if defined(__AVX2__)
+
+// 4 x 8 register tile: eight independent 4-wide chains, one per element
+// group, each walking p ascending with a separate multiply and add.
+void gemm_tile_4x8(std::size_t k, const double* a, std::size_t a_row,
+                   std::size_t a_col, const double* b, std::size_t ldb,
+                   double* c, std::size_t ldc) {
+  double* c0 = c;
+  double* c1 = c + ldc;
+  double* c2 = c + 2 * ldc;
+  double* c3 = c + 3 * ldc;
+  __m256d x00 = _mm256_loadu_pd(c0), x01 = _mm256_loadu_pd(c0 + 4);
+  __m256d x10 = _mm256_loadu_pd(c1), x11 = _mm256_loadu_pd(c1 + 4);
+  __m256d x20 = _mm256_loadu_pd(c2), x21 = _mm256_loadu_pd(c2 + 4);
+  __m256d x30 = _mm256_loadu_pd(c3), x31 = _mm256_loadu_pd(c3 + 4);
+  const double* a0 = a;
+  const double* a1 = a + a_row;
+  const double* a2 = a + 2 * a_row;
+  const double* a3 = a + 3 * a_row;
+  for (std::size_t p = 0; p < k; ++p) {
+    const double* bp = b + p * ldb;
+    const __m256d b0 = _mm256_loadu_pd(bp);
+    const __m256d b1 = _mm256_loadu_pd(bp + 4);
+    const std::size_t o = p * a_col;
+    __m256d s = _mm256_set1_pd(a0[o]);
+    x00 = _mm256_add_pd(x00, _mm256_mul_pd(s, b0));
+    x01 = _mm256_add_pd(x01, _mm256_mul_pd(s, b1));
+    s = _mm256_set1_pd(a1[o]);
+    x10 = _mm256_add_pd(x10, _mm256_mul_pd(s, b0));
+    x11 = _mm256_add_pd(x11, _mm256_mul_pd(s, b1));
+    s = _mm256_set1_pd(a2[o]);
+    x20 = _mm256_add_pd(x20, _mm256_mul_pd(s, b0));
+    x21 = _mm256_add_pd(x21, _mm256_mul_pd(s, b1));
+    s = _mm256_set1_pd(a3[o]);
+    x30 = _mm256_add_pd(x30, _mm256_mul_pd(s, b0));
+    x31 = _mm256_add_pd(x31, _mm256_mul_pd(s, b1));
+  }
+  _mm256_storeu_pd(c0, x00);
+  _mm256_storeu_pd(c0 + 4, x01);
+  _mm256_storeu_pd(c1, x10);
+  _mm256_storeu_pd(c1 + 4, x11);
+  _mm256_storeu_pd(c2, x20);
+  _mm256_storeu_pd(c2 + 4, x21);
+  _mm256_storeu_pd(c3, x30);
+  _mm256_storeu_pd(c3 + 4, x31);
+}
+
+// One row x 16 columns: four chains, so even m == 1 (the LSTM dh
+// recurrence) is not bound by a single add latency.
+void gemm_tile_1x16(std::size_t k, const double* a, std::size_t a_col,
+                    const double* b, std::size_t ldb, double* c) {
+  __m256d x0 = _mm256_loadu_pd(c), x1 = _mm256_loadu_pd(c + 4);
+  __m256d x2 = _mm256_loadu_pd(c + 8), x3 = _mm256_loadu_pd(c + 12);
+  for (std::size_t p = 0; p < k; ++p) {
+    const double* bp = b + p * ldb;
+    const __m256d s = _mm256_set1_pd(a[p * a_col]);
+    x0 = _mm256_add_pd(x0, _mm256_mul_pd(s, _mm256_loadu_pd(bp)));
+    x1 = _mm256_add_pd(x1, _mm256_mul_pd(s, _mm256_loadu_pd(bp + 4)));
+    x2 = _mm256_add_pd(x2, _mm256_mul_pd(s, _mm256_loadu_pd(bp + 8)));
+    x3 = _mm256_add_pd(x3, _mm256_mul_pd(s, _mm256_loadu_pd(bp + 12)));
+  }
+  _mm256_storeu_pd(c, x0);
+  _mm256_storeu_pd(c + 4, x1);
+  _mm256_storeu_pd(c + 8, x2);
+  _mm256_storeu_pd(c + 12, x3);
+}
+
+void gemm_tile_1x4(std::size_t k, const double* a, std::size_t a_col,
+                   const double* b, std::size_t ldb, double* c) {
+  __m256d x = _mm256_loadu_pd(c);
+  for (std::size_t p = 0; p < k; ++p) {
+    x = _mm256_add_pd(x, _mm256_mul_pd(_mm256_set1_pd(a[p * a_col]),
+                                       _mm256_loadu_pd(b + p * ldb)));
+  }
+  _mm256_storeu_pd(c, x);
+}
+
+// Narrow-B path (n < 8) for a column-contiguous A (a_row == 1, e.g. the
+// transposed gate gradients against the 3-feature LSTM input): vectorize
+// down the rows instead, 16 rows per tile, one column at a time.
+void gemm_ordered_rows(std::size_t m, std::size_t n, std::size_t k,
+                       const double* a, std::size_t a_col, const double* b,
+                       std::size_t ldb, double* c, std::size_t ldc) {
+  std::size_t i = 0;
+  for (; i + 16 <= m; i += 16) {
+    for (std::size_t j = 0; j < n; ++j) {
+      alignas(32) double t[16];
+      for (std::size_t r = 0; r < 16; ++r) t[r] = c[(i + r) * ldc + j];
+      __m256d x0 = _mm256_load_pd(t), x1 = _mm256_load_pd(t + 4);
+      __m256d x2 = _mm256_load_pd(t + 8), x3 = _mm256_load_pd(t + 12);
+      for (std::size_t p = 0; p < k; ++p) {
+        const double* ap = a + i + p * a_col;
+        const __m256d s = _mm256_set1_pd(b[p * ldb + j]);
+        x0 = _mm256_add_pd(x0, _mm256_mul_pd(_mm256_loadu_pd(ap), s));
+        x1 = _mm256_add_pd(x1, _mm256_mul_pd(_mm256_loadu_pd(ap + 4), s));
+        x2 = _mm256_add_pd(x2, _mm256_mul_pd(_mm256_loadu_pd(ap + 8), s));
+        x3 = _mm256_add_pd(x3, _mm256_mul_pd(_mm256_loadu_pd(ap + 12), s));
+      }
+      _mm256_store_pd(t, x0);
+      _mm256_store_pd(t + 4, x1);
+      _mm256_store_pd(t + 8, x2);
+      _mm256_store_pd(t + 12, x3);
+      for (std::size_t r = 0; r < 16; ++r) c[(i + r) * ldc + j] = t[r];
+    }
+  }
+  gemm_ordered_scalar(i, m, 0, n, k, a, 1, a_col, b, ldb, c, ldc);
+}
+
+#endif
+
+}  // namespace
+
+void gemm_ordered(std::size_t m, std::size_t n, std::size_t k,
+                  const double* a, std::size_t a_row, std::size_t a_col,
+                  const double* b, std::size_t ldb, double* c,
+                  std::size_t ldc) {
+#if defined(__AVX2__)
+  if (n < 8 && a_row == 1 && m >= 16) {
+    gemm_ordered_rows(m, n, k, a, a_col, b, ldb, c, ldc);
+    return;
+  }
+  // 4 x 8 tiles, column strips outer, so one k x 8 strip of B stays in L1
+  // while every row tile of A passes over it.
+  const std::size_t m4 = m / 4 * 4;
+  std::size_t j8 = 0;
+  for (; j8 + 8 <= n; j8 += 8) {
+    for (std::size_t i = 0; i < m4; i += 4)
+      gemm_tile_4x8(k, a + i * a_row, a_row, a_col, b + j8, ldb,
+                    c + i * ldc + j8, ldc);
+  }
+  // What the tiles left: columns [j8, n) of rows [0, m4), and all of the
+  // rows past m4.
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* ai = a + i * a_row;
+    double* ci = c + i * ldc;
+    std::size_t j = i < m4 ? j8 : 0;
+    for (; j + 16 <= n; j += 16) gemm_tile_1x16(k, ai, a_col, b + j, ldb, ci + j);
+    for (; j + 4 <= n; j += 4) gemm_tile_1x4(k, ai, a_col, b + j, ldb, ci + j);
+    gemm_ordered_scalar(i, i + 1, j, n, k, a, a_row, a_col, b, ldb, c, ldc);
+  }
+#else
+  gemm_ordered_scalar(0, m, 0, n, k, a, a_row, a_col, b, ldb, c, ldc);
+#endif
+}
+
+void adam_update(const AdamStep& s, std::size_t n, double* value,
+                 double* grad, double* m, double* v) {
+  const double omb1 = 1.0 - s.beta1;
+  const double omb2 = 1.0 - s.beta2;
+  std::size_t i = 0;
+#if defined(__AVX2__)
+  const __m256d scale = _mm256_set1_pd(s.scale);
+  const __m256d lr = _mm256_set1_pd(s.lr);
+  const __m256d b1 = _mm256_set1_pd(s.beta1);
+  const __m256d b2 = _mm256_set1_pd(s.beta2);
+  const __m256d c1 = _mm256_set1_pd(omb1);
+  const __m256d c2 = _mm256_set1_pd(omb2);
+  const __m256d bc1 = _mm256_set1_pd(s.bc1);
+  const __m256d bc2 = _mm256_set1_pd(s.bc2);
+  const __m256d eps = _mm256_set1_pd(s.epsilon);
+  const __m256d zero = _mm256_setzero_pd();
+  for (; i + 4 <= n; i += 4) {
+    const __m256d g = _mm256_mul_pd(_mm256_loadu_pd(grad + i), scale);
+    const __m256d mi = _mm256_add_pd(
+        _mm256_mul_pd(b1, _mm256_loadu_pd(m + i)), _mm256_mul_pd(c1, g));
+    const __m256d vi =
+        _mm256_add_pd(_mm256_mul_pd(b2, _mm256_loadu_pd(v + i)),
+                      _mm256_mul_pd(_mm256_mul_pd(c2, g), g));
+    const __m256d mhat = _mm256_div_pd(mi, bc1);
+    const __m256d vhat = _mm256_div_pd(vi, bc2);
+    const __m256d step = _mm256_div_pd(
+        _mm256_mul_pd(lr, mhat), _mm256_add_pd(_mm256_sqrt_pd(vhat), eps));
+    _mm256_storeu_pd(m + i, mi);
+    _mm256_storeu_pd(v + i, vi);
+    _mm256_storeu_pd(value + i,
+                     _mm256_sub_pd(_mm256_loadu_pd(value + i), step));
+    _mm256_storeu_pd(grad + i, zero);
+  }
+#endif
+  for (; i < n; ++i) {
+    const double g = grad[i] * s.scale;
+    m[i] = s.beta1 * m[i] + omb1 * g;
+    v[i] = s.beta2 * v[i] + omb2 * g * g;
+    const double mhat = m[i] / s.bc1;
+    const double vhat = v[i] / s.bc2;
+    value[i] -= s.lr * mhat / (std::sqrt(vhat) + s.epsilon);
+    grad[i] = 0.0;
+  }
+}
+
+namespace {
 // int8 columns processed per SIMD iteration (and the padded-column unit).
 constexpr std::size_t kQuantStride = 16;
 }  // namespace

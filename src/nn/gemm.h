@@ -27,6 +27,11 @@
 // tests/nn/test_gemm.cpp asserts bit-equality between the two on every
 // shape the layers use.
 //
+// Training runs on the same contract: `gemm_ordered` (C += A * B, every
+// element its own chain, k ascending) carries every gradient sum and
+// `adam_update` the optimizer, each bit-identical to the per-sample loops
+// they replaced.
+//
 // `QuantizedMatrix` plus the *_approx activations are the optional int8
 // path (per-row weight scales, per-vector dynamic input scale, exact int32
 // accumulation, polynomial gate activations). It is NOT bit-exact with the
@@ -133,6 +138,35 @@ class QuantizedMatrix {
   std::vector<std::int8_t> data_;   ///< row-major int8, zero-padded tail
   std::vector<double> row_scale_;   ///< per-row dequantization scales
 };
+
+/// Ordered-accumulation GEMM, the training core: C += A * B with
+///   A(i, p) = a[i * a_row + p * a_col]   (m x k; any strides, so a
+///                                         transposed A is a_row = 1)
+///   B(p, j) = b[p * ldb + j]             (k x n, unit stride along j)
+///   C(i, j) = c[i * ldc + j]             (m x n, unit stride along j)
+/// Every element accumulates in its own chain, starting from its current
+/// value, with p ascending and an explicit multiply then add:
+///   for p in [0, k): C(i, j) = C(i, j) + A(i, p) * B(p, j)
+/// That is exactly the naive triple loop, so a per-sample gradient loop
+/// rewritten as one call keeps every bit (DESIGN.md "NN kernel core").
+/// A stride of 0 broadcasts one value (a[0] == 1.0 sums B's rows).
+void gemm_ordered(std::size_t m, std::size_t n, std::size_t k,
+                  const double* a, std::size_t a_row, std::size_t a_col,
+                  const double* b, std::size_t ldb, double* c,
+                  std::size_t ldc);
+
+/// Step constants of one Adam update (see Adam::step).
+struct AdamStep {
+  double scale;  ///< 1 / batch size
+  double lr, beta1, beta2, epsilon;
+  double bc1, bc2;  ///< bias corrections 1 - beta^t
+};
+
+/// Elementwise Adam over n elements with the exact operation sequence of
+/// the scalar update; zeroes grad[i] after use. Elements are independent,
+/// so any split of [0, n) into ranges gives the same bits.
+void adam_update(const AdamStep& s, std::size_t n, double* value,
+                 double* grad, double* m, double* v);
 
 /// Fast polynomial activations for the quantized path: a clamped Pade(7,6)
 /// tanh (|error| < 1e-4 over the reals) and the matching sigmoid via

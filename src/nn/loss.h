@@ -6,6 +6,8 @@
 // the logit is simply (sigmoid(logit) - target).
 #pragma once
 
+#include <span>
+
 #include "nn/param.h"
 
 namespace vkey::nn {
@@ -25,5 +27,13 @@ struct BceResult {
   Vec probability;  ///< sigmoid(logit), exposed to avoid recomputation
 };
 BceResult bce_with_logits(const Vec& logits, const Vec& target);
+
+/// Allocation-free forms for the training loops: write the gradient into
+/// `grad` (same length as the inputs) and return the loss. The Vec forms
+/// above wrap these, so both give the same bits.
+double mse_loss(std::span<const double> pred, std::span<const double> target,
+                std::span<double> grad);
+double bce_with_logits(std::span<const double> logits,
+                       std::span<const double> target, std::span<double> grad);
 
 }  // namespace vkey::nn

@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "common/metrics.h"
+#include "common/parallel.h"
 #include "common/trace.h"
 #include "nn/activations.h"
 
@@ -82,6 +83,34 @@ void Lstm::init_scratch(Scratch& s) const {
   if (quantized_) s.xq.assign(quant().padded_cols(), 0);
 }
 
+namespace {
+
+// Gate nonlinearities in place over a fused 4H block (i | f | g | o).
+void gate_activations(double* z, std::size_t h) {
+  for (std::size_t k = 0; k < 2 * h; ++k) z[k] = sigmoid(z[k]);
+  for (std::size_t k = 2 * h; k < 3 * h; ++k) z[k] = std::tanh(z[k]);
+  for (std::size_t k = 3 * h; k < 4 * h; ++k) z[k] = sigmoid(z[k]);
+}
+
+// c = f * c_prev + i * g, tc = tanh(c), h = o * tc over activated gates z.
+// c_prev may alias c; null is the zero initial state.
+void cell_update(const double* z, std::size_t h, const double* c_prev,
+                 double* c, double* tc, double* h_out) {
+  for (std::size_t k = 0; k < h; ++k) {
+    const double cp = c_prev != nullptr ? c_prev[k] : 0.0;
+    c[k] = z[h + k] * cp + z[k] * z[2 * h + k];
+  }
+  for (std::size_t k = 0; k < h; ++k) tc[k] = std::tanh(c[k]);
+  for (std::size_t k = 0; k < h; ++k) h_out[k] = z[3 * h + k] * tc[k];
+}
+
+}  // namespace
+
+void Lstm::count_steps(std::size_t steps) const {
+  lstm_steps().add(steps);
+  lstm_flops().add(steps * step_flops(input_, hidden_));
+}
+
 // One fused cell step. s.xh holds [x_t ; h_prev]; the single packed matvec
 // computes all 4H gate pre-activations in the exact accumulation order of
 // the naive cell (bias, then Wx columns, then Wh columns — see
@@ -89,26 +118,11 @@ void Lstm::init_scratch(Scratch& s) const {
 // (i | f | g | o blocks); each element depends only on its own
 // pre-activation, so the value sequence matches the reference loop bit for
 // bit.
-void Lstm::step_fused(Scratch& s, StepCache* cache) const {
-  const std::size_t h = hidden_;
+void Lstm::step_fused(Scratch& s) const {
   packed().matvec(s.xh.data(), b_.value.data(), s.z.data());
-  double* z = s.z.data();
-  for (std::size_t k = 0; k < 2 * h; ++k) z[k] = sigmoid(z[k]);
-  for (std::size_t k = 2 * h; k < 3 * h; ++k) z[k] = std::tanh(z[k]);
-  for (std::size_t k = 3 * h; k < 4 * h; ++k) z[k] = sigmoid(z[k]);
-  for (std::size_t k = 0; k < h; ++k)
-    s.c[k] = z[h + k] * s.c[k] + z[k] * z[2 * h + k];
-  for (std::size_t k = 0; k < h; ++k) s.tc[k] = std::tanh(s.c[k]);
-  for (std::size_t k = 0; k < h; ++k) s.h[k] = z[3 * h + k] * s.tc[k];
-  if (cache != nullptr) {
-    cache->i.assign(z, z + h);
-    cache->f.assign(z + h, z + 2 * h);
-    cache->g.assign(z + 2 * h, z + 3 * h);
-    cache->o.assign(z + 3 * h, z + 4 * h);
-    cache->c = s.c;
-    cache->tanh_c = s.tc;
-    cache->h = s.h;
-  }
+  gate_activations(s.z.data(), hidden_);
+  cell_update(s.z.data(), hidden_, s.c.data(), s.c.data(), s.tc.data(),
+              s.h.data());
 }
 
 // The int8 variant: quantized fused affine plus polynomial gate
@@ -129,6 +143,35 @@ void Lstm::step_quantized(Scratch& s) const {
   for (std::size_t k = 0; k < h; ++k) s.h[k] = z[3 * h + k] * s.tc[k];
 }
 
+// Tape row of processing step `step`: rows run in BPTT order, so the last
+// processed step is row 0.
+//   [0, I)            x_t
+//   [I, I+H)          h_prev
+//   [I+H, I+5H)       gates i f g o (activated), dz after backward_tape
+//   [I+5H, I+6H)      c
+//   [I+6H, I+7H)      tanh(c)
+void Lstm::forward_tape(const double* x, std::size_t steps, double* tape,
+                        double* h, std::size_t ldh) const {
+  const std::size_t in = input_;
+  const std::size_t hd = hidden_;
+  const std::size_t w = tape_width();
+  const PackedMatrix& pm = packed();
+  for (std::size_t step = 0; step < steps; ++step) {
+    const std::size_t t = reverse_ ? steps - 1 - step : step;
+    double* row = tape + (steps - 1 - step) * w;
+    std::copy(x + t * in, x + (t + 1) * in, row);
+    if (step == 0) std::fill(row + in, row + in + hd, 0.0);
+    double* z = row + in + hd;
+    pm.matvec(row, b_.value.data(), z);
+    gate_activations(z, hd);
+    const double* c_prev = step == 0 ? nullptr : row + w + in + 5 * hd;
+    double* ht = h + t * ldh;
+    cell_update(z, hd, c_prev, row + in + 5 * hd, row + in + 6 * hd, ht);
+    // The next step's h_prev is the row above.
+    if (step + 1 < steps) std::copy(ht, ht + hd, row - w + in);
+  }
+}
+
 Seq Lstm::forward(const Seq& x) {
   const std::size_t t_len = x.size();
   // Validate the whole sequence BEFORE touching the step/FLOP counters: a
@@ -136,24 +179,17 @@ Seq Lstm::forward(const Seq& x) {
   VKEY_REQUIRE(t_len > 0, "Lstm forward on empty sequence");
   for (const Vec& xt : x)
     VKEY_REQUIRE(xt.size() == input_, "Lstm input width mismatch");
-  lstm_steps().add(t_len);
-  lstm_flops().add(t_len * step_flops(input_, hidden_));
-  cache_.assign(t_len, StepCache{});
-  Scratch s;
-  init_scratch(s);
+  count_steps(t_len);
+  Vec xs(t_len * input_);
+  for (std::size_t t = 0; t < t_len; ++t)
+    std::copy(x[t].begin(), x[t].end(), xs.begin() + t * input_);
+  tape_.resize(t_len * tape_width());
+  steps_ = t_len;
+  Vec hs(t_len * hidden_);
+  forward_tape(xs.data(), t_len, tape_.data(), hs.data(), hidden_);
   Seq out(t_len);
-  for (std::size_t step_idx = 0; step_idx < t_len; ++step_idx) {
-    const std::size_t t = reverse_ ? t_len - 1 - step_idx : step_idx;
-    std::copy(x[t].begin(), x[t].end(), s.xh.begin());
-    std::copy(s.h.begin(), s.h.end(),
-              s.xh.begin() + static_cast<std::ptrdiff_t>(input_));
-    StepCache& cc = cache_[step_idx];
-    cc.x = x[t];
-    cc.h_prev = s.h;
-    cc.c_prev = s.c;
-    step_fused(s, &cc);
-    out[t] = s.h;
-  }
+  for (std::size_t t = 0; t < t_len; ++t)
+    out[t].assign(hs.begin() + t * hidden_, hs.begin() + (t + 1) * hidden_);
   return out;
 }
 
@@ -179,7 +215,7 @@ void Lstm::infer_impl(const Seq& x, Seq& out, std::size_t offset) const {
     if (quantized_) {
       step_quantized(s);
     } else {
-      step_fused(s, nullptr);
+      step_fused(s);
     }
     std::copy(s.h.begin(), s.h.end(),
               out[t].begin() + static_cast<std::ptrdiff_t>(offset));
@@ -231,57 +267,84 @@ Seq Lstm::infer_reference(const Seq& x) const {
   return out;
 }
 
-Seq Lstm::backward(const Seq& grad_out) {
-  const std::size_t t_len = cache_.size();
-  VKEY_REQUIRE(t_len > 0, "Lstm backward before forward");
-  VKEY_REQUIRE(grad_out.size() == t_len, "Lstm grad length mismatch");
+void Lstm::backward_tape(double* tape, std::size_t steps, const double* dh,
+                         std::size_t ldh, double* carry, double* dx) const {
+  const std::size_t in = input_;
   const std::size_t h = hidden_;
-
-  Seq dx(t_len, Vec(input_, 0.0));
-  Vec dh_rec(h, 0.0), dc_rec(h, 0.0);
-  Vec dz(4 * h);
-
-  for (std::size_t step_idx = t_len; step_idx-- > 0;) {
-    const std::size_t t = reverse_ ? t_len - 1 - step_idx : step_idx;
-    const StepCache& cc = cache_[step_idx];
-    VKEY_REQUIRE(grad_out[t].size() == h, "Lstm grad width mismatch");
-
+  const std::size_t w = tape_width();
+  double* dh_rec = carry;
+  double* dc_rec = carry + h;
+  std::fill(carry, carry + 2 * h, 0.0);
+  // Row r is processing step steps - 1 - r: BPTT walks the rows forward.
+  for (std::size_t r = 0; r < steps; ++r) {
+    const std::size_t step = steps - 1 - r;
+    const std::size_t t = reverse_ ? steps - 1 - step : step;
+    double* row = tape + r * w;
+    double* z = row + in + h;
+    const double* tc = row + in + 6 * h;
+    const double* c_prev = r + 1 < steps ? row + w + in + 5 * h : nullptr;
+    const double* dht = dh + t * ldh;
     for (std::size_t k = 0; k < h; ++k) {
-      const double dh = grad_out[t][k] + dh_rec[k];
-      const double d_o = dh * cc.tanh_c[k];
-      const double dc = dh * cc.o[k] * dtanh_from_y(cc.tanh_c[k]) + dc_rec[k];
-      const double d_f = dc * cc.c_prev[k];
-      const double d_i = dc * cc.g[k];
-      const double d_g = dc * cc.i[k];
-      dc_rec[k] = dc * cc.f[k];
-      dz[k] = d_i * dsigmoid_from_y(cc.i[k]);
-      dz[h + k] = d_f * dsigmoid_from_y(cc.f[k]);
-      dz[2 * h + k] = d_g * dtanh_from_y(cc.g[k]);
-      dz[3 * h + k] = d_o * dsigmoid_from_y(cc.o[k]);
+      const double gi = z[k];
+      const double gf = z[h + k];
+      const double gg = z[2 * h + k];
+      const double go = z[3 * h + k];
+      const double dhk = dht[k] + dh_rec[k];
+      const double d_o = dhk * tc[k];
+      const double dc = dhk * go * dtanh_from_y(tc[k]) + dc_rec[k];
+      const double d_f = dc * (c_prev != nullptr ? c_prev[k] : 0.0);
+      const double d_i = dc * gg;
+      const double d_g = dc * gi;
+      dc_rec[k] = dc * gf;
+      z[k] = d_i * dsigmoid_from_y(gi);
+      z[h + k] = d_f * dsigmoid_from_y(gf);
+      z[2 * h + k] = d_g * dtanh_from_y(gg);
+      z[3 * h + k] = d_o * dsigmoid_from_y(go);
     }
-
-    // Parameter gradients and upstream gradients. No data-dependent
-    // skipping here: a `g == 0` shortcut would make the accumulation order
-    // depend on runtime values, which a blocked kernel (and the 1-vs-N-lane
-    // bit-exactness contract) could not reproduce.
-    std::fill(dh_rec.begin(), dh_rec.end(), 0.0);
-    for (std::size_t j = 0; j < 4 * h; ++j) {
-      const double g = dz[j];
-      b_.grad[j] += g;
-      double* gwx = &wx_.grad[j * input_];
-      const double* wx_row = &wx_.value[j * input_];
-      for (std::size_t k = 0; k < input_; ++k) {
-        gwx[k] += g * cc.x[k];
-        dx[t][k] += g * wx_row[k];
-      }
-      double* gwh = &wh_.grad[j * h];
-      const double* wh_row = &wh_.value[j * h];
-      for (std::size_t k = 0; k < h; ++k) {
-        gwh[k] += g * cc.h_prev[k];
-        dh_rec[k] += g * wh_row[k];
-      }
+    // Upstream gradients, each element summing over the 4H gates in
+    // ascending order: dh_rec = dz Wh, dx_t = dz Wx.
+    std::fill(dh_rec, dh_rec + h, 0.0);
+    gemm_ordered(1, h, 4 * h, z, 0, 1, wh_.value.data(), h, dh_rec, h);
+    if (dx != nullptr) {
+      double* dxt = dx + t * in;
+      std::fill(dxt, dxt + in, 0.0);
+      gemm_ordered(1, in, 4 * h, z, 0, 1, wx_.value.data(), in, dxt, in);
     }
   }
+}
+
+void Lstm::accumulate_tape(const double* tape, std::size_t rows) {
+  // No data-dependent skipping: every row contributes to every element in
+  // row order, which is what keeps the sum independent of the lane count.
+  const std::size_t in = input_;
+  const std::size_t h = hidden_;
+  const std::size_t w = tape_width();
+  const double* dz = tape + in + h;  // A = dZ^T: a_row 1, a_col w
+  gemm_ordered(4 * h, in, rows, dz, 1, w, tape, w, wx_.grad.data(), in);
+  gemm_ordered(4 * h, h, rows, dz, 1, w, tape + in, w, wh_.grad.data(), h);
+  const double one = 1.0;  // db += 1 * dz row, row by row
+  gemm_ordered(1, 4 * h, rows, &one, 0, 0, dz, w, b_.grad.data(), 4 * h);
+}
+
+Seq Lstm::backward(const Seq& grad_out) {
+  const std::size_t t_len = steps_;
+  VKEY_REQUIRE(t_len > 0, "Lstm backward before forward");
+  VKEY_REQUIRE(grad_out.size() == t_len, "Lstm grad length mismatch");
+  for (const Vec& g : grad_out)
+    VKEY_REQUIRE(g.size() == hidden_, "Lstm grad width mismatch");
+  Vec dh(t_len * hidden_);
+  for (std::size_t t = 0; t < t_len; ++t)
+    std::copy(grad_out[t].begin(), grad_out[t].end(),
+              dh.begin() + t * hidden_);
+  Vec carry(2 * hidden_);
+  Vec dxs(t_len * input_);
+  backward_tape(tape_.data(), t_len, dh.data(), hidden_, carry.data(),
+                dxs.data());
+  accumulate_tape(tape_.data(), t_len);
+  steps_ = 0;
+  Seq dx(t_len);
+  for (std::size_t t = 0; t < t_len; ++t)
+    dx[t].assign(dxs.begin() + t * input_, dxs.begin() + (t + 1) * input_);
   return dx;
 }
 
@@ -363,6 +426,65 @@ Seq BiLstm::backward(const Seq& grad_out) {
     }
   }
   return dx;
+}
+
+BiLstm::Tapes BiLstm::make_tapes(std::size_t capacity,
+                                 std::size_t steps) const {
+  Tapes t;
+  t.capacity = capacity;
+  t.steps = steps;
+  t.fwd.resize(capacity * steps * fwd_.tape_width());
+  t.bwd.resize(capacity * steps * bwd_.tape_width());
+  t.carry.resize(capacity * 4 * hidden_);
+  return t;
+}
+
+void BiLstm::forward_batch(const double* x, std::size_t batch, Tapes& tapes,
+                           double* out, std::size_t threads) const {
+  VKEY_REQUIRE(batch <= tapes.capacity && tapes.steps > 0,
+               "BiLstm forward_batch exceeds its tapes");
+  const std::size_t steps = tapes.steps;
+  const std::size_t in = fwd_.input_size();
+  const std::size_t width = output_size();
+  const std::size_t seq_tape = steps * fwd_.tape_width();
+  fwd_.count_steps(batch * steps);
+  bwd_.count_steps(batch * steps);
+  // Pack on the caller so the lanes only ever read the packed weights.
+  (void)fwd_.packed();
+  (void)bwd_.packed();
+  parallel::parallel_for(
+      batch,
+      [&](std::size_t b) {
+        const double* xb = x + b * steps * in;
+        double* ob = out + b * steps * width;
+        fwd_.forward_tape(xb, steps, tapes.fwd.data() + b * seq_tape, ob,
+                          width);
+        bwd_.forward_tape(xb, steps, tapes.bwd.data() + b * seq_tape,
+                          ob + hidden_, width);
+      },
+      threads);
+}
+
+void BiLstm::backward_batch(const double* dout, std::size_t batch,
+                            Tapes& tapes, std::size_t threads) {
+  VKEY_REQUIRE(batch <= tapes.capacity && tapes.steps > 0,
+               "BiLstm backward_batch exceeds its tapes");
+  const std::size_t steps = tapes.steps;
+  const std::size_t width = output_size();
+  const std::size_t seq_tape = steps * fwd_.tape_width();
+  parallel::parallel_for(
+      batch,
+      [&](std::size_t b) {
+        const double* db = dout + b * steps * width;
+        double* carry = tapes.carry.data() + b * 4 * hidden_;
+        fwd_.backward_tape(tapes.fwd.data() + b * seq_tape, steps, db, width,
+                           carry, nullptr);
+        bwd_.backward_tape(tapes.bwd.data() + b * seq_tape, steps,
+                           db + hidden_, width, carry + 2 * hidden_, nullptr);
+      },
+      threads);
+  fwd_.accumulate_tape(tapes.fwd.data(), batch * steps);
+  bwd_.accumulate_tape(tapes.bwd.data(), batch * steps);
 }
 
 std::vector<Parameter*> BiLstm::parameters() {

@@ -11,6 +11,13 @@
 // see gemm.h and DESIGN.md "NN kernel core"); the float path is
 // bit-identical to the retained naive reference (infer_reference), and an
 // optional int8 path trades exactness for speed behind set_quantized().
+//
+// Training records each sequence on a contiguous tape, one row per step in
+// BPTT order (last processed step first):
+//   [ x_t | h_prev | gates i f g o (dz after BPTT) | c | tanh(c) ]
+// The row's leading [x_t | h_prev] is the fused matvec input, and the
+// stacked rows of a minibatch are directly the operands of one ordered
+// gradient GEMM (gemm_ordered) per parameter.
 #pragma once
 
 #include <span>
@@ -32,7 +39,8 @@ class Lstm {
        bool reverse = false);
 
   /// Forward over a sequence; returns hidden states in *time* order
-  /// regardless of processing direction. Caches all intermediates for BPTT.
+  /// regardless of processing direction. Records the sequence on the
+  /// layer's own tape for backward().
   Seq forward(const Seq& x);
 
   /// Inference-only forward (no caching).
@@ -55,20 +63,43 @@ class Lstm {
 
   /// BPTT for the most recent forward(). `grad_out` is dL/dh in time order;
   /// returns dL/dx in time order. Gradients accumulate into the parameters.
+  /// Consumes the tape: a second backward() needs a new forward().
   Seq backward(const Seq& grad_out);
 
   std::size_t input_size() const { return input_; }
   std::size_t hidden_size() const { return hidden_; }
-  /// Steps cached by the most recent forward() (0 before any forward).
-  std::size_t cached_steps() const { return cache_.size(); }
+  /// Steps on the tape of the most recent forward() (0 before any forward
+  /// and after its backward()).
+  std::size_t cached_steps() const { return steps_; }
 
   std::vector<Parameter*> parameters() { return {&wx_, &wh_, &b_}; }
 
  private:
-  struct StepCache {
-    Vec x, h_prev, c_prev;
-    Vec i, f, g, o, c, tanh_c, h;
-  };
+  friend class BiLstm;  // drives the tape API below for minibatches
+
+  /// Doubles per tape row: input + 7 * hidden.
+  std::size_t tape_width() const { return input_ + 7 * hidden_; }
+
+  /// Charge `steps` cell steps to the nn.lstm counters.
+  void count_steps(std::size_t steps) const;
+
+  /// Training forward of one sequence: x holds `steps` rows of input_size()
+  /// in time order; step t's hidden state goes to h + t * ldh. Fills `tape`
+  /// (steps * tape_width() doubles). Same arithmetic as infer(), bit for
+  /// bit; reads only the weights, so lanes may run sequences concurrently.
+  /// Does not count steps (see count_steps).
+  void forward_tape(const double* x, std::size_t steps, double* tape,
+                    double* h, std::size_t ldh) const;
+
+  /// BPTT over a forward_tape() tape: dh + t * ldh is dL/dh at time t.
+  /// Overwrites the gates with dL/dz; writes dL/dx rows (time order) to dx
+  /// unless it is null. `carry` holds 2 * hidden_size() doubles of scratch.
+  void backward_tape(double* tape, std::size_t steps, const double* dh,
+                     std::size_t ldh, double* carry, double* dx) const;
+
+  /// Accumulate the weight and bias gradients of `rows` BPTT'd tape rows
+  /// in row order: one ordered GEMM per parameter.
+  void accumulate_tape(const double* tape, std::size_t rows);
 
   /// Preallocated per-sequence scratch for the fused cell (one allocation
   /// per call instead of ~8 per step).
@@ -83,7 +114,7 @@ class Lstm {
 
   void init_scratch(Scratch& s) const;
   /// One fused cell step: reads s.xh, updates s.h / s.c in place.
-  void step_fused(Scratch& s, StepCache* cache) const;
+  void step_fused(Scratch& s) const;
   void step_quantized(Scratch& s) const;
   /// Shared full-sequence driver for infer()/infer_into().
   void infer_impl(const Seq& x, Seq& out, std::size_t offset) const;
@@ -98,7 +129,8 @@ class Lstm {
   Parameter wx_;  // 4H x input
   Parameter wh_;  // 4H x hidden
   Parameter b_;   // 4H  (forget-gate bias initialized to 1)
-  std::vector<StepCache> cache_;  // indexed by processing step
+  Vec tape_;               // forward()'s tape, consumed by backward()
+  std::size_t steps_ = 0;  // steps on tape_
   // Fused [Wx | Wh] packed layouts, keyed on the parameter revisions
   // (see gemm.h; the key is the revision sum, monotone under bump()).
   mutable PackedMatrix packed_w_;
@@ -125,6 +157,33 @@ class BiLstm {
   /// the original concat loop) — the bit-exactness oracle for infer().
   Seq infer_reference(const Seq& x) const;
   Seq backward(const Seq& grad_out);
+
+  /// Caller-owned minibatch training state: each direction's tapes and the
+  /// BPTT carries for up to `capacity` sequences of `steps` steps. Sized
+  /// once by make_tapes(); the batch calls never allocate.
+  struct Tapes {
+    std::size_t capacity = 0;
+    std::size_t steps = 0;
+    Vec fwd, bwd;  ///< capacity * steps tape rows per direction
+    Vec carry;     ///< capacity * 4 * hidden BPTT scratch
+  };
+  Tapes make_tapes(std::size_t capacity, std::size_t steps) const;
+
+  /// Minibatch training forward. Sequence b reads `steps` input rows at
+  /// x + b * steps * input and writes its flattened output, [h_fwd(t) |
+  /// h_bwd(t)] for t ascending, to out + b * steps * output_size(). Lanes
+  /// run whole sequences (`threads`, 0 = process default); bit-identical
+  /// to forward() per sequence.
+  void forward_batch(const double* x, std::size_t batch, Tapes& tapes,
+                     double* out, std::size_t threads) const;
+
+  /// BPTT for the last forward_batch(); `dout` has the layout of its `out`.
+  /// Lanes run each sequence's BPTT, then every weight and bias gradient
+  /// accumulates on the caller in one ordered pass over the tape rows —
+  /// sequence ascending, processing step descending, the order of
+  /// per-sequence backward() calls.
+  void backward_batch(const double* dout, std::size_t batch, Tapes& tapes,
+                      std::size_t threads);
 
   /// Propagates to both directions (infer paths only; see Lstm).
   void set_quantized(bool quantized);

@@ -1,8 +1,11 @@
 #include "nn/optimizer.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
+#include "common/parallel.h"
+#include "nn/gemm.h"
 
 namespace vkey::nn {
 
@@ -33,30 +36,42 @@ Adam::Adam(std::vector<Parameter*> params, double lr, double beta1,
   VKEY_REQUIRE(lr > 0.0, "learning rate must be positive");
   VKEY_REQUIRE(beta1 >= 0.0 && beta1 < 1.0, "beta1 must be in [0,1)");
   VKEY_REQUIRE(beta2 >= 0.0 && beta2 < 1.0, "beta2 must be in [0,1)");
+  // Fixed ranges, sized once: large enough to amortize a lane hand-off,
+  // small enough to spread the prediction head over every lane.
+  constexpr std::size_t kGrain = 8192;
+  for (Parameter* p : params_) {
+    for (std::size_t lo = 0; lo < p->size(); lo += kGrain)
+      ranges_.push_back({p, lo, std::min(p->size(), lo + kGrain)});
+  }
 }
 
-void Adam::step(std::size_t batch_size) {
+void Adam::step(std::size_t batch_size, std::size_t threads) {
   VKEY_REQUIRE(batch_size >= 1, "batch size must be >= 1");
-  const double scale = 1.0 / static_cast<double>(batch_size);
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const AdamStep s{1.0 / static_cast<double>(batch_size),
+                   lr_,
+                   beta1_,
+                   beta2_,
+                   epsilon_,
+                   1.0 - std::pow(beta1_, static_cast<double>(t_)),
+                   1.0 - std::pow(beta2_, static_cast<double>(t_))};
   for (Parameter* p : params_) {
     if (p->adam_m.size() != p->size()) {
       p->adam_m.assign(p->size(), 0.0);
       p->adam_v.assign(p->size(), 0.0);
     }
-    for (std::size_t i = 0; i < p->size(); ++i) {
-      const double g = p->grad[i] * scale;
-      p->adam_m[i] = beta1_ * p->adam_m[i] + (1.0 - beta1_) * g;
-      p->adam_v[i] = beta2_ * p->adam_v[i] + (1.0 - beta2_) * g * g;
-      const double mhat = p->adam_m[i] / bc1;
-      const double vhat = p->adam_v[i] / bc2;
-      p->value[i] -= lr_ * mhat / (std::sqrt(vhat) + epsilon_);
-    }
-    p->bump();
-    p->zero_grad();
   }
+  parallel::parallel_for(
+      ranges_.size(),
+      [&](std::size_t r) {
+        const Range& range = ranges_[r];
+        Parameter& p = *range.param;
+        const std::size_t lo = range.lo;
+        adam_update(s, range.hi - lo, p.value.data() + lo, p.grad.data() + lo,
+                    p.adam_m.data() + lo, p.adam_v.data() + lo);
+      },
+      threads);
+  for (Parameter* p : params_) p->bump();
 }
 
 }  // namespace vkey::nn

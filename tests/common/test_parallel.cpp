@@ -6,6 +6,7 @@
 // to see. The determinism assertions are exact (EXPECT_EQ on doubles and
 // whole vectors): the layer's contract is bit-identity, not closeness.
 #include <atomic>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
@@ -18,6 +19,8 @@
 
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "core/predictor.h"
+#include "core/reconciler.h"
 #include "nn/dense.h"
 
 namespace vkey::parallel {
@@ -185,6 +188,71 @@ TEST(Parallel, ConcurrentPackedWeightRepackIsRaceFree) {
         got.size(), [&](std::size_t i) { got[i] = layer.infer(x); }, 8);
     for (const auto& y : got) EXPECT_EQ(y, want);
   }
+}
+
+// Training fans the per-sample work (BiLSTM forward tapes and BPTT, pair
+// generation) and the Adam ranges out over lanes while every gradient sum
+// stays on the caller. At 1 and 4 lanes the trained weights must carry
+// the same bits; under TSan this also watches the lanes' tape, carry and
+// optimizer-range writes for overlap.
+std::vector<std::uint64_t> param_bits(
+    const std::vector<nn::Parameter*>& params) {
+  std::vector<std::uint64_t> bits;
+  for (const nn::Parameter* p : params) {
+    for (const double v : p->value)
+      bits.push_back(std::bit_cast<std::uint64_t>(v));
+  }
+  return bits;
+}
+
+TEST(Parallel, ReconcilerTrainingIsLaneInvariant) {
+  for (const bool tie : {true, false}) {
+    auto train = [tie](std::size_t threads) {
+      core::ReconcilerConfig cfg;
+      cfg.key_bits = 16;
+      cfg.code_dim = 8;
+      cfg.decoder_units = 12;
+      cfg.batch_size = 8;
+      cfg.tie_encoders = tie;
+      cfg.freeze_encoder = false;
+      cfg.threads = threads;
+      core::AutoencoderReconciler r(cfg);
+      const double loss = r.train(45, 2);
+      return std::pair{std::bit_cast<std::uint64_t>(loss),
+                       param_bits(r.parameters())};
+    };
+    EXPECT_EQ(train(1), train(4)) << "tie_encoders=" << tie;
+  }
+}
+
+TEST(Parallel, PredictorTrainingIsLaneInvariant) {
+  core::PredictorConfig cfg;
+  cfg.seq_len = 8;
+  cfg.hidden = 4;
+  cfg.key_bits = 8;
+  cfg.batch_size = 4;
+  vkey::Rng rng(77);
+  std::vector<core::TrainingSample> samples(11);
+  for (auto& s : samples) {
+    s.alice_seq.resize(cfg.seq_len);
+    s.bob_seq.resize(cfg.seq_len);
+    s.bob_bits = BitVec(cfg.key_bits);
+    for (std::size_t t = 0; t < cfg.seq_len; ++t) {
+      s.alice_seq[t] = rng.uniform();
+      s.bob_seq[t] = rng.uniform();
+      s.bob_bits.set(t, rng.bernoulli(0.5));
+    }
+  }
+  // Predictor lanes follow the process default.
+  auto train = [&](std::size_t threads) {
+    set_default_threads(threads);
+    core::PredictorQuantizer p(cfg);
+    const double loss = p.train(samples, 2).final_loss;
+    set_default_threads(0);
+    return std::pair{std::bit_cast<std::uint64_t>(loss),
+                     param_bits(p.parameters())};
+  };
+  EXPECT_EQ(train(1), train(4));
 }
 
 }  // namespace

@@ -3,14 +3,18 @@
 // The contract under test (DESIGN.md "NN kernel core"): the packed float
 // kernels are BIT-identical to the retained naive reference on every shape
 // the layers use — including ragged panel tails — and the batched entry
-// points are bit-identical to their sequential counterparts. The int8 path
-// is checked against explicit error bounds instead.
+// points are bit-identical to their sequential counterparts. The training
+// kernels (gemm_ordered, adam_update) are held bitwise to the naive loops
+// they replaced. The int8 path is checked against explicit error bounds
+// instead.
 #include "nn/gemm.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/error.h"
@@ -130,6 +134,184 @@ TEST(PackedMatrix, BatchedMatvecBitEqualsSequential) {
     pm.matvec_batch(xp.data(), batch, bias.data(), yp.data());
     for (std::size_t b = 0; b < batch; ++b) {
       EXPECT_EQ(seq[b], bat[b]) << "batch " << batch << " member " << b;
+    }
+  }
+}
+
+// --- Ordered-accumulation GEMM (the training core) ---
+
+// Values that make accumulation order visible: signed zeros, subnormals,
+// and large magnitudes next to ordinary ones (products stay finite).
+std::vector<double> hostile_vec(std::size_t n, vkey::Rng& rng) {
+  std::vector<double> v(n);
+  for (double& x : v) {
+    const double sign = rng.bernoulli(0.5) ? -1.0 : 1.0;
+    switch (rng.uniform_int(6)) {
+      case 0:
+        x = sign * 0.0;
+        break;
+      case 1:
+        x = sign * std::numeric_limits<double>::denorm_min() *
+            static_cast<double>(1 + rng.uniform_int(1000));
+        break;
+      case 2:
+        x = sign * 1e145 * rng.uniform(1.0, 10.0);
+        break;
+      default:
+        x = rng.uniform(-2.0, 2.0);
+        break;
+    }
+  }
+  return v;
+}
+
+// The loop gemm_ordered must reproduce: one chain per element, p ascending.
+void naive_gemm(std::size_t m, std::size_t n, std::size_t k, const double* a,
+                std::size_t a_row, std::size_t a_col, const double* b,
+                std::size_t ldb, double* c, std::size_t ldc) {
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      double s = c[i * ldc + j];
+      for (std::size_t p = 0; p < k; ++p)
+        s += a[i * a_row + p * a_col] * b[p * ldb + j];
+      c[i * ldc + j] = s;
+    }
+  }
+}
+
+void expect_same_bits(const std::vector<double>& want,
+                      const std::vector<double>& got, const char* what,
+                      std::size_t m, std::size_t n, std::size_t k) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(want[i]),
+              std::bit_cast<std::uint64_t>(got[i]))
+        << what << " m=" << m << " n=" << n << " k=" << k << " at " << i
+        << ": " << want[i] << " vs " << got[i];
+  }
+}
+
+const std::size_t kGemmDims[] = {1, 3, 7, 8, 9, 35, 64, 128};
+const std::size_t kGemmDepths[] = {1, 5, 64, 1024};
+
+TEST(OrderedGemm, EqualsNaiveTripleLoopDense) {
+  vkey::Rng rng(111);
+  for (std::size_t m : kGemmDims) {
+    for (std::size_t n : kGemmDims) {
+      for (std::size_t k : kGemmDepths) {
+        const auto a = hostile_vec(m * k, rng);
+        const auto b = hostile_vec(k * n, rng);
+        auto want = hostile_vec(m * n, rng);
+        auto got = want;
+        naive_gemm(m, n, k, a.data(), k, 1, b.data(), n, want.data(), n);
+        gemm_ordered(m, n, k, a.data(), k, 1, b.data(), n, got.data(), n);
+        expect_same_bits(want, got, "dense", m, n, k);
+      }
+    }
+  }
+}
+
+// A read transposed (a_row 1, as in dW += dZ^T X), every leading dimension
+// padded; the padding of C must come back untouched.
+TEST(OrderedGemm, EqualsNaiveTripleLoopStridedTransposed) {
+  vkey::Rng rng(112);
+  for (std::size_t m : kGemmDims) {
+    for (std::size_t n : kGemmDims) {
+      for (std::size_t k : kGemmDepths) {
+        const std::size_t a_col = m + 3, ldb = n + 5, ldc = n + 2;
+        const auto a = hostile_vec(k * a_col, rng);
+        const auto b = hostile_vec(k * ldb, rng);
+        auto want = hostile_vec(m * ldc, rng);
+        auto got = want;
+        naive_gemm(m, n, k, a.data(), 1, a_col, b.data(), ldb, want.data(),
+                   ldc);
+        gemm_ordered(m, n, k, a.data(), 1, a_col, b.data(), ldb, got.data(),
+                     ldc);
+        expect_same_bits(want, got, "transposed", m, n, k);
+      }
+    }
+  }
+}
+
+// Stride-0 A broadcasts one value: with 1.0 that is a column-sum of B
+// (the bias gradient), which must equal plain row-by-row addition.
+TEST(OrderedGemm, BroadcastOneSumsRowsInOrder) {
+  vkey::Rng rng(113);
+  const std::size_t k = 300, n = 37;
+  const auto b = hostile_vec(k * n, rng);
+  auto want = hostile_vec(n, rng);
+  auto got = want;
+  for (std::size_t p = 0; p < k; ++p)
+    for (std::size_t j = 0; j < n; ++j) want[j] += b[p * n + j];
+  const double one = 1.0;
+  gemm_ordered(1, n, k, &one, 0, 0, b.data(), n, got.data(), n);
+  expect_same_bits(want, got, "broadcast", 1, n, k);
+}
+
+TEST(OrderedGemm, EmptyDepthLeavesCUnchanged) {
+  vkey::Rng rng(114);
+  const auto c0 = hostile_vec(8 * 9, rng);
+  auto c = c0;
+  const double dummy = 1.0;
+  gemm_ordered(8, 9, 0, &dummy, 0, 0, &dummy, 0, c.data(), 9);
+  expect_same_bits(c0, c, "k=0", 8, 9, 0);
+}
+
+// --- Elementwise Adam kernel ---
+
+// The scalar update Adam::step ran before the kernel existed.
+void scalar_adam(Parameter& p, std::size_t t, std::size_t batch, double lr,
+                 double beta1, double beta2, double eps) {
+  const double scale = 1.0 / static_cast<double>(batch);
+  const double bc1 = 1.0 - std::pow(beta1, static_cast<double>(t));
+  const double bc2 = 1.0 - std::pow(beta2, static_cast<double>(t));
+  if (p.adam_m.size() != p.size()) {
+    p.adam_m.assign(p.size(), 0.0);
+    p.adam_v.assign(p.size(), 0.0);
+  }
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    const double g = p.grad[i] * scale;
+    p.adam_m[i] = beta1 * p.adam_m[i] + (1.0 - beta1) * g;
+    p.adam_v[i] = beta2 * p.adam_v[i] + (1.0 - beta2) * g * g;
+    const double mhat = p.adam_m[i] / bc1;
+    const double vhat = p.adam_v[i] / bc2;
+    p.value[i] -= lr * mhat / (std::sqrt(vhat) + eps);
+  }
+  p.zero_grad();
+}
+
+TEST(AdamKernel, BitEqualsScalarLoopAcrossLaneChunks) {
+  // Sizes straddle the optimizer's 8192-element lane ranges and the 4-wide
+  // vector tail.
+  const std::size_t sizes[] = {1, 3, 8191, 8192, 8193, 2 * 8192 + 37};
+  for (std::size_t threads : {1u, 4u}) {
+    vkey::Rng rng(115);
+    std::vector<Parameter> ref, got;
+    for (std::size_t n : sizes) {
+      Parameter p(n);
+      p.value = hostile_vec(n, rng);
+      ref.push_back(p);
+      got.push_back(p);
+    }
+    std::vector<Parameter*> ptrs(got.size());
+    for (std::size_t i = 0; i < got.size(); ++i) ptrs[i] = &got[i];
+    Adam opt(ptrs, 3e-3, 0.8, 0.99, 1e-7);
+    for (std::size_t t = 1; t <= 4; ++t) {
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        ref[i].grad = hostile_vec(ref[i].size(), rng);
+        got[i].grad = ref[i].grad;
+        scalar_adam(ref[i], t, 3, 3e-3, 0.8, 0.99, 1e-7);
+      }
+      opt.step(3, threads);
+      for (std::size_t i = 0; i < ref.size(); ++i) {
+        for (const auto& [w, g] :
+             {std::pair{&ref[i].value, &got[i].value},
+              std::pair{&ref[i].adam_m, &got[i].adam_m},
+              std::pair{&ref[i].adam_v, &got[i].adam_v},
+              std::pair{&ref[i].grad, &got[i].grad}}) {
+          expect_same_bits(*w, *g, "adam", ref[i].size(), threads, t);
+        }
+      }
     }
   }
 }
