@@ -68,7 +68,8 @@ int main() {
   protocol::BobSession bob(scfg, pipeline.reconciler(), block->bob_key);
   protocol::PublicChannel channel;
   protocol::install_syndrome_tamper(channel);
-  const bool established = run_key_agreement(channel, alice, bob);
+  const bool established =
+      run_key_agreement_detailed(channel, alice, bob).established;
   std::printf("3. MITM tampering with the syndrome in flight:\n");
   std::printf("   -> session %s (Alice's verdict: %s)\n",
               established ? "ESTABLISHED (!!)" : "aborted",
@@ -79,7 +80,7 @@ int main() {
   protocol::AliceSession alice2(scfg, pipeline.reconciler(),
                                 block->alice_corrected);
   protocol::BobSession bob2(scfg, pipeline.reconciler(), block->bob_key);
-  if (run_key_agreement(clean, alice2, bob2)) {
+  if (run_key_agreement_detailed(clean, alice2, bob2)) {
     const auto syn = protocol::find_syndrome(clean);
     if (syn && !alice2.handle(protocol::make_replay(*syn)).has_value()) {
       std::printf("4. Replaying the recorded syndrome later: rejected "

@@ -59,7 +59,7 @@ int main() {
   protocol::BobSession bob(session_cfg, pipeline.reconciler(),
                            block->bob_key);
   protocol::PublicChannel channel;
-  if (!run_key_agreement(channel, alice, bob)) {
+  if (!run_key_agreement_detailed(channel, alice, bob)) {
     std::printf("key agreement failed\n");
     return 1;
   }

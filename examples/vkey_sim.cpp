@@ -81,7 +81,6 @@
 #include "core/pipeline.h"
 #include "protocol/gateway.h"
 #include "protocol/reliability.h"
-#include "protocol/wire.h"
 
 using namespace vkey;
 using namespace vkey::channel;
@@ -468,10 +467,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Register the full wire.reject.* taxonomy before any dump so the CSV /
-  // JSON structure is the same whether or not a given reject fired.
+  // Register the protocol stack's whole instrument catalogue before any
+  // dump so the CSV / JSON structure is the same whatever the run exercised.
   if (metrics::enabled() && (dump_metrics || !metrics_json_path.empty())) {
-    protocol::wire::register_wire_metrics();
+    protocol::register_gateway_metrics();
   }
   if (dump_metrics) {
     if (metrics::enabled()) {

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <string>
 
 #include "common/error.h"
 #include "common/metrics.h"
@@ -39,13 +38,23 @@ LoRaPhy::LoRaPhy(const LoRaParams& p) : params_(p) {
   rssi_samples_ = static_cast<int>(std::floor(total_symbols_));
 }
 
-void LoRaPhy::account_airtime(const char* label, std::size_t packets) const {
+void LoRaPhy::account_airtime(AirtimeUse use, std::size_t packets) const {
   if (!metrics::enabled() || packets == 0) return;
-  auto& reg = metrics::Registry::global();
+  static metrics::Registry& reg = metrics::Registry::global();
+  static metrics::Counter& total_packets = reg.counter("phy.packets");
+  static metrics::Gauge& total_ms = reg.gauge("phy.airtime_ms");
   const double ms = airtime_ * 1000.0 * static_cast<double>(packets);
-  reg.counter("phy.packets").add(packets);
-  reg.gauge("phy.airtime_ms").add(ms);
-  reg.gauge(std::string("phy.airtime_ms.") + label).add(ms);
+  total_packets.add(packets);
+  total_ms.add(ms);
+  // Each use registers at its first packet: a run that never probes (or
+  // never frames) carries no zero-valued entry for it.
+  if (use == AirtimeUse::kProbe) {
+    static metrics::Gauge& probe_ms = reg.gauge("phy.airtime_ms.probe");
+    probe_ms.add(ms);
+  } else {
+    static metrics::Gauge& wire_ms = reg.gauge("phy.airtime_ms.wire");
+    wire_ms.add(ms);
+  }
 }
 
 double LoRaPhy::wavelength() const {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 namespace vkey::channel {
 
@@ -24,6 +25,10 @@ struct LoRaParams {
   bool explicit_header = true;
   bool crc_on = true;
 };
+
+/// What the packets passed to LoRaPhy::account_airtime() carried: channel
+/// probes or protocol wire frames ("phy.airtime_ms.probe" / ".wire").
+enum class AirtimeUse : std::uint8_t { kProbe, kWire };
 
 /// Derived timing quantities for one LoRaParams configuration.
 class LoRaPhy {
@@ -64,10 +69,9 @@ class LoRaPhy {
 
   /// Observability hook: account `packets` transmissions of this
   /// configuration in the global metrics registry — total packet count and
-  /// accumulated on-air milliseconds, plus a per-`label` breakdown
-  /// ("phy.airtime_ms.<label>"). Labels distinguish probe traffic from
-  /// protocol wire frames.
-  void account_airtime(const char* label, std::size_t packets = 1) const;
+  /// accumulated on-air milliseconds, plus a per-use breakdown that
+  /// separates probe traffic from protocol wire frames.
+  void account_airtime(AirtimeUse use, std::size_t packets = 1) const;
 
  private:
   LoRaParams params_;

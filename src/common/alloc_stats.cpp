@@ -73,7 +73,7 @@ std::int64_t PhaseScope::live_delta() const noexcept {
 }
 
 void publish_metrics() {
-  auto& reg = metrics::Registry::global();
+  static metrics::Registry& reg = metrics::Registry::global();
   static metrics::Gauge& allocations = reg.gauge("alloc.allocations");
   static metrics::Gauge& frees = reg.gauge("alloc.frees");
   static metrics::Gauge& bytes = reg.gauge("alloc.bytes");

@@ -301,11 +301,6 @@ ScopedTimer::ScopedTimer(metrics::Histogram& hist, NowFn now,
   begin(name, /*explicit_clock=*/static_cast<bool>(now_));
 }
 
-ScopedTimer::ScopedTimer(const std::string& name)
-    : hist_(&metrics::Registry::global().histogram(name)) {
-  begin(name, /*explicit_clock=*/false);
-}
-
 void ScopedTimer::begin(std::string_view name, bool explicit_clock) {
   if (!metrics::enabled()) return;  // no clock read, no allocation
   if (explicit_clock) {

@@ -12,21 +12,6 @@
 
 namespace vkey::core {
 
-namespace {
-
-// Stage histograms are fetched once per process; the per-run cost is a
-// relaxed atomic observe, keeping the hot path within the metrics budget.
-metrics::Histogram& stage_hist(const char* stage) {
-  return metrics::Registry::global().histogram(
-      std::string("pipeline.stage.") + stage + "_ms");
-}
-
-metrics::Counter& bit_counter(const char* name) {
-  return metrics::Registry::global().counter(std::string("pipeline.") + name);
-}
-
-}  // namespace
-
 KeyGenPipeline::KeyGenPipeline(const PipelineConfig& config) : cfg_(config) {
   VKEY_REQUIRE(cfg_.reconciler.key_bits % cfg_.predictor.key_bits == 0,
                "reconciler block must be a multiple of the fragment width");
@@ -50,17 +35,35 @@ AutoencoderReconciler& KeyGenPipeline::reconciler() {
 PipelineMetrics KeyGenPipeline::run(std::size_t train_rounds,
                                     std::size_t test_rounds) {
   VKEY_REQUIRE(test_rounds >= 1, "need test rounds");
-  static metrics::Histogram& run_ms = stage_hist("run");
-  static metrics::Histogram& probe_ms = stage_hist("probe");
-  static metrics::Histogram& extract_ms = stage_hist("extract");
-  static metrics::Histogram& train_pred_ms = stage_hist("train_predictor");
-  static metrics::Histogram& train_rec_ms = stage_hist("train_reconciler");
-  static metrics::Histogram& predict_ms = stage_hist("predict");
-  static metrics::Histogram& quantize_ms = stage_hist("quantize");
-  static metrics::Histogram& reconcile_ms = stage_hist("reconcile");
-  static metrics::Histogram& eval_ms = stage_hist("eval");
-  static metrics::Counter& quantized_bits = bit_counter("bits.quantized");
-  bit_counter("runs").add(1);
+  // One function-local static per instrument: the registry is searched
+  // once per process, and each event afterwards is a relaxed atomic.
+  static metrics::Registry& reg = metrics::Registry::global();
+  static metrics::Histogram& run_ms = reg.histogram("pipeline.stage.run_ms");
+  static metrics::Histogram& probe_ms =
+      reg.histogram("pipeline.stage.probe_ms");
+  static metrics::Histogram& extract_ms =
+      reg.histogram("pipeline.stage.extract_ms");
+  static metrics::Histogram& train_pred_ms =
+      reg.histogram("pipeline.stage.train_predictor_ms");
+  static metrics::Histogram& train_rec_ms =
+      reg.histogram("pipeline.stage.train_reconciler_ms");
+  static metrics::Histogram& predict_ms =
+      reg.histogram("pipeline.stage.predict_ms");
+  static metrics::Histogram& quantize_ms =
+      reg.histogram("pipeline.stage.quantize_ms");
+  static metrics::Histogram& reconcile_ms =
+      reg.histogram("pipeline.stage.reconcile_ms");
+  static metrics::Histogram& eval_ms = reg.histogram("pipeline.stage.eval_ms");
+  static metrics::Counter& runs = reg.counter("pipeline.runs");
+  static metrics::Counter& quantized_bits =
+      reg.counter("pipeline.bits.quantized");
+  static metrics::Counter& blocks_total = reg.counter("pipeline.blocks.total");
+  static metrics::Counter& blocks_success =
+      reg.counter("pipeline.blocks.success");
+  static metrics::Counter& reconciled_bits =
+      reg.counter("pipeline.bits.reconciled");
+  static metrics::Counter& agreed_bits = reg.counter("pipeline.bits.agreed");
+  runs.add(1);
 
   channel::TraceGenerator gen(cfg_.trace);
 
@@ -239,11 +242,11 @@ PipelineMetrics KeyGenPipeline::run(std::size_t train_rounds,
   eve_list.reserve(n_blocks);
   eve_iter_list.reserve(n_blocks);
   for (const auto& blk : blocks_) {
-    bit_counter("blocks.total").add(1);
-    bit_counter("bits.reconciled").add(block_bits);
+    blocks_total.add(1);
+    reconciled_bits.add(block_bits);
     if (blk.success) {
-      bit_counter("blocks.success").add(1);
-      bit_counter("bits.agreed").add(block_bits);
+      blocks_success.add(1);
+      agreed_bits.add(block_bits);
       ++success;
     }
     kar_pre_list.push_back(blk.kar_pre);
@@ -285,7 +288,11 @@ PipelineMetrics KeyGenPipeline::run(std::size_t train_rounds,
 
 BitVec KeyGenPipeline::amplified_key_stream() const {
   VKEY_REQUIRE(!blocks_.empty(), "run() produced no blocks");
-  static metrics::Histogram& amplify_ms = stage_hist("amplify");
+  static metrics::Registry& reg = metrics::Registry::global();
+  static metrics::Histogram& amplify_ms =
+      reg.histogram("pipeline.stage.amplify_ms");
+  static metrics::Counter& amplified_bits =
+      reg.counter("pipeline.bits.amplified");
   trace::ScopedTimer t(amplify_ms, "pipeline.amplify");
   BitVec stream;
   std::uint64_t salt = 0;
@@ -293,7 +300,7 @@ BitVec KeyGenPipeline::amplified_key_stream() const {
     if (!blk.success) continue;
     stream.append(amplifier_.amplify(blk.alice_corrected, salt++));
   }
-  bit_counter("bits.amplified").add(stream.size());
+  amplified_bits.add(stream.size());
   return stream;
 }
 

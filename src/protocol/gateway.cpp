@@ -3,18 +3,13 @@
 #include <algorithm>
 
 #include "common/error.h"
-#include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "protocol/instruments.h"
 
 namespace vkey::protocol {
 
 namespace {
-
-metrics::Histogram& gw_histogram(const char* name) {
-  return metrics::Registry::global().histogram(std::string("gateway.") +
-                                               name);
-}
 
 /// Session-id space of one device: 16 ids per device leaves room for the
 /// supervisor's per-attempt increments without collisions across devices.
@@ -166,8 +161,8 @@ void GatewayEngine::on_establishment_done(std::uint64_t device) {
     registry_.established(device, now);
     last_establish_ms_ = now;
     const DeviceRecord& rec = registry_.record(device);
-    gw_histogram("time_to_key_ms").observe(rec.time_to_key_ms());
-    gw_histogram("queue_wait_ms").observe(rec.queue_wait_ms());
+    instruments().gateway.time_to_key_ms.observe(rec.time_to_key_ms());
+    instruments().gateway.queue_wait_ms.observe(rec.queue_wait_ms());
     // The confirmed session's live key state: rekey events ratchet it on
     // the shared timeline until the session idles out.
     schedules_.emplace(device, KeySchedule(out.key, session_id_for(device),
@@ -304,19 +299,6 @@ GatewayReport GatewayEngine::finalize() {
   return rep;
 }
 
-void register_gateway_metrics() {
-  auto& reg = metrics::Registry::global();
-  for (const char* n :
-       {"arrivals", "admissions", "keys_established", "establish_failures",
-        "rekeys", "evictions.idle", "evictions.failed"}) {
-    reg.counter(std::string("gateway.") + n);
-  }
-  reg.gauge("gateway.inflight_sessions");
-  reg.gauge("gateway.queued_sessions");
-  reg.gauge("gateway.active_sessions");
-  gw_histogram("time_to_key_ms");
-  gw_histogram("queue_wait_ms");
-  register_protocol_metrics();
-}
+void register_gateway_metrics() { instruments(); }
 
 }  // namespace vkey::protocol

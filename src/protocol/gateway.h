@@ -28,10 +28,10 @@
 // bounded per-session flight-recorder timelines for the first few failures
 // after the run.
 //
-// Instrumentation: `gateway.*` counters/gauges (arrivals, admissions,
-// keys_established, evictions.idle/failed, rekeys, active/queued/inflight
-// session gauges) plus `gateway.time_to_key_ms` / `gateway.queue_wait_ms`
-// histograms.
+// Instrumentation: the `gateway.*` counters, gauges and histograms
+// (arrivals, admissions, keys_established, evictions.idle/failed, rekeys,
+// active/queued/inflight session gauges, time_to_key_ms, queue_wait_ms) are
+// declared with the rest of the stack's in protocol/instruments.h.
 #pragma once
 
 #include <cstdint>
@@ -203,8 +203,8 @@ class GatewayEngine {
   bool ran_ = false;
 };
 
-/// Eagerly register the gateway.* counters, gauges and histograms, then the
-/// whole stack beneath them (register_protocol_metrics). Long-horizon
+/// Register the protocol stack's whole instrument catalogue
+/// (protocol/instruments.h) now rather than at the first event. Long-horizon
 /// harnesses call this before arming allocation gates so that no instrument
 /// is first registered — and heap-counted — mid-measurement.
 void register_gateway_metrics();

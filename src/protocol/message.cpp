@@ -14,14 +14,6 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   }
 }
 
-std::optional<std::uint64_t> get_u64(std::span<const std::uint8_t> bytes,
-                                     std::size_t& off) {
-  if (off + 8 > bytes.size()) return std::nullopt;
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | bytes[off++];
-  return v;
-}
-
 }  // namespace
 
 std::string to_string(MessageType t) {
@@ -46,46 +38,6 @@ std::vector<std::uint8_t> mac_input(const Message& msg) {
   put_u64(out, msg.payload.size());
   out.insert(out.end(), msg.payload.begin(), msg.payload.end());
   return out;
-}
-
-std::vector<std::uint8_t> serialize(const Message& msg) {
-  std::vector<std::uint8_t> out = mac_input(msg);
-  put_u64(out, msg.mac.size());
-  out.insert(out.end(), msg.mac.begin(), msg.mac.end());
-  return out;
-}
-
-std::optional<Message> deserialize(std::span<const std::uint8_t> bytes) {
-  std::size_t off = 0;
-  if (bytes.empty()) return std::nullopt;
-  Message msg;
-  const std::uint8_t type = bytes[off++];
-  if (type < 1 || type > kMaxMessageType) return std::nullopt;
-  msg.type = static_cast<MessageType>(type);
-
-  const auto session = get_u64(bytes, off);
-  const auto nonce = get_u64(bytes, off);
-  const auto payload_len = get_u64(bytes, off);
-  if (!session || !nonce || !payload_len) return std::nullopt;
-  msg.session_id = *session;
-  msg.nonce = *nonce;
-  // Bound the claimed length by policy first, then by the buffer — and
-  // compare as `len > size - off` so a near-2^64 forged length cannot wrap
-  // the addition and sneak past the check.
-  if (*payload_len > kMaxPayloadBytes) return std::nullopt;
-  if (*payload_len > bytes.size() - off) return std::nullopt;
-  msg.payload.assign(bytes.begin() + static_cast<std::ptrdiff_t>(off),
-                     bytes.begin() +
-                         static_cast<std::ptrdiff_t>(off + *payload_len));
-  off += *payload_len;
-
-  const auto mac_len = get_u64(bytes, off);
-  if (!mac_len) return std::nullopt;
-  if (*mac_len > kMaxMacBytes) return std::nullopt;
-  if (*mac_len != bytes.size() - off) return std::nullopt;
-  msg.mac.assign(bytes.begin() + static_cast<std::ptrdiff_t>(off),
-                 bytes.end());
-  return msg;
 }
 
 std::vector<std::uint8_t> pack_doubles(std::span<const double> values) {

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -57,18 +56,8 @@ struct Message {
   bool operator==(const Message&) const = default;
 };
 
-/// Flat binary serialization (type | session | nonce | payload len+bytes |
-/// mac len+bytes). Deterministic; used both on the simulated wire and as the
-/// MAC input.
-std::vector<std::uint8_t> serialize(const Message& msg);
-
-/// Parse bytes back into a Message; nullopt on malformed input. Length
-/// prefixes are validated against both the actual buffer and the
-/// kMaxPayloadBytes / kMaxMacBytes bounds before any allocation, so a
-/// forged length field can neither overrun the buffer nor balloon memory.
-std::optional<Message> deserialize(std::span<const std::uint8_t> bytes);
-
-/// The byte string a MAC covers: everything except the mac field itself.
+/// The byte string a MAC covers: type | session | nonce | u64 payload length
+/// | payload, big-endian. Independent of the wire framing (protocol/wire.h).
 std::vector<std::uint8_t> mac_input(const Message& msg);
 
 /// Pack a vector of doubles into the payload (little-endian IEEE754) and

@@ -1,19 +1,13 @@
 #include "protocol/reliability.h"
 
 #include "common/error.h"
-#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/trace.h"
-#include "protocol/wire.h"
+#include "protocol/instruments.h"
 
 namespace vkey::protocol {
 
 namespace {
-
-metrics::Counter& rel_counter(const char* name) {
-  return metrics::Registry::global().counter(std::string("reliability.") +
-                                             name);
-}
 
 // Runaway guard per attempt: far above anything a sane exchange needs
 // (~6 frames * (1 + max_retries) events each, plus duplicates).
@@ -105,17 +99,12 @@ AgreementReport run_reliable_key_agreement_on(
     const ReliabilityConfig& config, const ProbeMaterialFn& material) {
   VKEY_REQUIRE(config.max_session_attempts >= 1, "need at least one attempt");
   AgreementReport report;
-
-  // Virtual time-to-establish across the whole agreement (all attempts):
-  // each attempt's SimClock starts at 0, so accumulate per-attempt spans.
-  static metrics::Histogram& establish_hist =
-      metrics::Registry::global().histogram(
-          "reliability.time_to_establish_ms");
+  const Instruments::Reliability& inst = instruments().reliability;
 
   for (std::size_t attempt = 0; attempt < config.max_session_attempts;
        ++attempt) {
     ++report.attempts;
-    rel_counter("attempts").add(1);
+    inst.attempts.add(1);
 
     // Fresh session id, probe material, fault stream and jitter stream per
     // attempt: a loss pattern that killed attempt k must not repeat
@@ -134,8 +123,8 @@ AgreementReport run_reliable_key_agreement_on(
     // Virtual-time span: the timer reads the attempt's SimClock, not the
     // wall clock, so the observed duration is bit-reproducible.
     trace::ScopedTimer attempt_timer(
-        metrics::Registry::global().histogram("reliability.attempt_ms"),
-        [&clock] { return clock.now_ms(); }, "reliability.attempt");
+        inst.attempt_ms, [&clock] { return clock.now_ms(); },
+        "reliability.attempt");
     FaultConfig faults = config.fault;
     faults.seed = hash_combine64(config.fault.seed, attempt);
     UnreliableChannel link(clock, base, faults, config.radio);
@@ -272,48 +261,19 @@ AgreementReport run_reliable_key_agreement_on(
     if (success) {
       report.key = alice.final_key();
     } else {
-      rel_counter(("failure." + to_string(att.failure)).c_str()).add(1);
+      inst.failure[att.failure].add(1);
     }
     report.attempt_log.push_back(std::move(att));
     if (success) {
       report.established = true;
-      rel_counter("established").add(1);
-      establish_hist.observe(report.time_to_establish_ms);
+      inst.established.add(1);
+      // Virtual time-to-establish across the whole agreement (all attempts).
+      inst.time_to_establish_ms.observe(report.time_to_establish_ms);
       break;
     }
   }
-  if (!report.established) rel_counter("exhausted").add(1);
+  if (!report.established) inst.exhausted.add(1);
   return report;
-}
-
-void register_protocol_metrics() {
-  auto& reg = metrics::Registry::global();
-  reg.counter("session.runs");
-  reg.counter("session.frames_delivered");
-  reg.counter("session.established");
-  for (const char* n : {"data_sent", "retransmissions", "timeouts", "gave_up",
-                        "acks_received", "acks_sent"}) {
-    reg.counter(std::string("arq.") + n);
-  }
-  reg.histogram("arq.backoff_ms");
-  for (const char* n :
-       {"sent", "dropped", "corrupted", "crc_lost", "reordered",
-        "duplicated"}) {
-    reg.counter(std::string("link.") + n);
-  }
-  rel_counter("attempts");
-  rel_counter("established");
-  rel_counter("exhausted");
-  reg.histogram("reliability.attempt_ms");
-  for (const FailureReason r :
-       {FailureReason::kRetryExhausted, FailureReason::kMacMismatch,
-        FailureReason::kConfirmMismatch, FailureReason::kTimeout,
-        FailureReason::kProtocolError}) {
-    rel_counter(("failure." + to_string(r)).c_str());
-  }
-  reg.counter("phy.packets");
-  reg.gauge("phy.airtime_ms");
-  wire::register_wire_metrics();
 }
 
 }  // namespace vkey::protocol

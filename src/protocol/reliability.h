@@ -8,7 +8,8 @@
 // fresh fault/jitter stream — a retransmission storm must not replay
 // identically). The caller gets a structured report — failure reason,
 // attempt count, per-attempt transport/link counters and virtual
-// time-to-establish — instead of a bare bool.
+// time-to-establish — instead of a bare bool. The `reliability.*`
+// instruments it reports into are declared in protocol/instruments.h.
 #pragma once
 
 #include <cstdint>
@@ -126,14 +127,5 @@ AgreementReport run_reliable_key_agreement_on(
     SimClock& clock, PublicChannel& base,
     const core::AutoencoderReconciler& reconciler,
     const ReliabilityConfig& config, const ProbeMaterialFn& material);
-
-/// Eagerly register every instrument the session/ARQ/link/reliability stack
-/// creates lazily — including the rare-path taxonomy (the per-kind
-/// `reliability.failure.*` counters, `arq.gave_up`, the fault-dependent link
-/// counters) whose first registration may otherwise land hours into a run.
-/// Snapshot structure and steady-state heap accounting must not depend on
-/// which faults happened to fire. Delegates to wire::register_wire_metrics()
-/// for the frame-reject taxonomy.
-void register_protocol_metrics();
 
 }  // namespace vkey::protocol

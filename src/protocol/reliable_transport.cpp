@@ -5,24 +5,10 @@
 
 #include "common/error.h"
 #include "common/json.h"
-#include "common/metrics.h"
 #include "protocol/flight_recorder.h"
+#include "protocol/instruments.h"
 
 namespace vkey::protocol {
-
-namespace {
-
-metrics::Counter& arq_counter(const char* name) {
-  return metrics::Registry::global().counter(std::string("arq.") + name);
-}
-
-metrics::Histogram& arq_backoff_hist() {
-  static metrics::Histogram& h =
-      metrics::Registry::global().histogram("arq.backoff_ms");
-  return h;
-}
-
-}  // namespace
 
 double arq_backoff_delay_ms(const ArqConfig& cfg, std::size_t attempt,
                             vkey::Rng& rng) {
@@ -61,7 +47,7 @@ void ReliableTransport::set_recorder(FlightRecorder* recorder,
 void ReliableTransport::arm_timer(std::uint64_t nonce) {
   auto& entry = inflight_.at(nonce);
   const double backoff = arq_backoff_delay_ms(cfg_, entry.attempt, rng_);
-  arq_backoff_hist().observe(backoff);
+  instruments().arq.backoff_ms.observe(backoff);
   const double timeout = rtt_(entry.msg) + backoff;
   if (recorder_ != nullptr) {
     recorder_->record(FlightEventKind::kBackoff, actor_,
@@ -77,7 +63,7 @@ void ReliableTransport::on_timeout(std::uint64_t nonce) {
   if (it == inflight_.end()) return;  // acked while the event was queued
   if (it->second.attempt >= cfg_.max_retries) {
     ++stats_.gave_up;
-    arq_counter("gave_up").add(1);
+    instruments().arq.gave_up.add(1);
     if (recorder_ != nullptr) {
       recorder_->record(FlightEventKind::kGaveUp, actor_,
                         to_string(it->second.msg.type) + " after " +
@@ -90,8 +76,8 @@ void ReliableTransport::on_timeout(std::uint64_t nonce) {
   }
   ++it->second.attempt;
   ++stats_.retransmissions;
-  arq_counter("timeouts").add(1);
-  arq_counter("retransmissions").add(1);
+  instruments().arq.timeouts.add(1);
+  instruments().arq.retransmissions.add(1);
   if (recorder_ != nullptr) {
     recorder_->record(FlightEventKind::kRetransmit, actor_,
                       "timeout attempt=" + std::to_string(it->second.attempt),
@@ -110,7 +96,7 @@ void ReliableTransport::send(const Message& msg) {
     // Fast retransmit: the session re-elicited this response because the
     // peer asked again, so don't wait for the timer.
     ++stats_.retransmissions;
-    arq_counter("retransmissions").add(1);
+    instruments().arq.retransmissions.add(1);
     if (recorder_ != nullptr) {
       recorder_->record(FlightEventKind::kRetransmit, actor_, "fast",
                         it->second.msg.session_id, msg.nonce);
@@ -120,7 +106,7 @@ void ReliableTransport::send(const Message& msg) {
   }
   inflight_[msg.nonce] = Pending{msg, 0, 0};
   ++stats_.data_sent;
-  arq_counter("data_sent").add(1);
+  instruments().arq.data_sent.add(1);
   wire_(msg);
   arm_timer(msg.nonce);
 }
@@ -140,7 +126,7 @@ void ReliableTransport::on_wire(const Message& msg) {
     completed_.insert(msg.nonce);
     inflight_.erase(it);
     ++stats_.acks_received;
-    arq_counter("acks_received").add(1);
+    instruments().arq.acks_received.add(1);
     if (recorder_ != nullptr) {
       recorder_->record(FlightEventKind::kAckRx, actor_, {}, msg.session_id,
                         msg.nonce);
@@ -157,7 +143,7 @@ void ReliableTransport::on_wire(const Message& msg) {
     ack.nonce = msg.nonce;
     wire_(ack);
     ++stats_.acks_sent;
-    arq_counter("acks_sent").add(1);
+    instruments().arq.acks_sent.add(1);
     if (recorder_ != nullptr) {
       recorder_->record(FlightEventKind::kAckTx, actor_,
                         "for " + to_string(msg.type), msg.session_id,

@@ -3,12 +3,12 @@
 #include <array>
 
 #include "common/error.h"
-#include "common/metrics.h"
 #include "crypto/aes128.h"
 #include "protocol/flight_recorder.h"
 #include "crypto/hkdf.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
+#include "protocol/instruments.h"
 
 namespace vkey::protocol {
 
@@ -417,16 +417,11 @@ AgreementResult run_key_agreement_detailed(PublicChannel& channel,
   result.established = alice.state() == SessionState::kEstablished &&
                        bob.state() == SessionState::kEstablished &&
                        alice.final_key() == bob.final_key();
-  auto& reg = metrics::Registry::global();
-  reg.counter("session.runs").add(1);
-  reg.counter("session.frames_delivered").add(result.delivered);
-  if (result.established) reg.counter("session.established").add(1);
+  const Instruments::Session& inst = instruments().session;
+  inst.runs.add(1);
+  inst.frames_delivered.add(result.delivered);
+  if (result.established) inst.established.add(1);
   return result;
-}
-
-bool run_key_agreement(PublicChannel& channel, AliceSession& alice,
-                       BobSession& bob) {
-  return run_key_agreement_detailed(channel, alice, bob).established;
 }
 
 SecureLink::SecureLink(const BitVec& key128) {

@@ -213,10 +213,6 @@ AgreementResult run_key_agreement_detailed(PublicChannel& channel,
                                            BobSession& bob,
                                            std::size_t max_deliveries = 256);
 
-/// Boolean shim over run_key_agreement_detailed for existing callers.
-bool run_key_agreement(PublicChannel& channel, AliceSession& alice,
-                       BobSession& bob);
-
 /// AES-128-CTR + HMAC-SHA256 payload protection under an established key.
 class SecureLink {
  public:

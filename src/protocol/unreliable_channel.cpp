@@ -4,19 +4,13 @@
 #include "common/json.h"
 #include "common/metrics.h"
 #include "protocol/flight_recorder.h"
+#include "protocol/instruments.h"
 #include "protocol/message.h"
 #include "protocol/wire.h"
 
 namespace vkey::protocol {
 
 namespace {
-
-metrics::Counter& link_counter(const char* name) {
-  // The handful of link counters are fetched by string; cache each behind a
-  // function-local static at the call sites via this helper being cheap —
-  // the registry scan is a few entries.
-  return metrics::Registry::global().counter(std::string("link.") + name);
-}
 
 const char* endpoint_name(UnreliableChannel::Endpoint e) {
   return e == UnreliableChannel::Endpoint::kAlice ? "alice" : "bob";
@@ -76,7 +70,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
   // the channel. This is what "steady-state bytes/session" in the gateway
   // report measures.
   stats_.bytes_sent += wire::frame_size(msg);
-  link_counter("sent").add(1);
+  instruments().link.sent.add(1);
   if (recorder_ != nullptr) {
     recorder_->record(FlightEventKind::kFrameTx, endpoint_name(from),
                       to_string(msg.type), msg.session_id, msg.nonce);
@@ -86,7 +80,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
     // survives the channel.
     channel::LoRaParams p = radio_;
     p.payload_bytes = static_cast<int>(wire::frame_size(msg));
-    channel::LoRaPhy(p).account_airtime("wire");
+    channel::LoRaPhy(p).account_airtime(channel::AirtimeUse::kWire);
   }
   const Endpoint to =
       from == Endpoint::kAlice ? Endpoint::kBob : Endpoint::kAlice;
@@ -99,7 +93,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
 
   if (rng_.bernoulli(faults_.drop_prob)) {
     ++stats_.dropped;
-    link_counter("dropped").add(1);
+    instruments().link.dropped.add(1);
     if (recorder_ != nullptr) {
       recorder_->record(FlightEventKind::kDrop, "link", to_string(msg.type),
                         msg.session_id, msg.nonce);
@@ -119,12 +113,12 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
           static_cast<std::uint8_t>(1u << rng_.uniform_int(8));
     }
     ++stats_.corrupted;
-    link_counter("corrupted").add(1);
+    instruments().link.corrupted.add(1);
     wire::WireError err = wire::WireError::kNone;
     auto reparsed = wire::decode_frame(bytes, &err);
     if (!reparsed.has_value()) {
       ++stats_.crc_lost;  // the radio discards the damaged frame
-      link_counter("crc_lost").add(1);
+      instruments().link.crc_lost.add(1);
       if (recorder_ != nullptr) {
         recorder_->record(FlightEventKind::kWireReject, "link",
                           wire::to_string(err) + " on " + to_string(msg.type) +
@@ -145,7 +139,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
   double delay = nominal_latency_ms(msg);
   if (rng_.bernoulli(faults_.reorder_prob)) {
     ++stats_.reordered;
-    link_counter("reordered").add(1);
+    instruments().link.reordered.add(1);
     const double extra = rng_.uniform(0.0, faults_.reorder_window_ms);
     delay += extra;
     if (recorder_ != nullptr) {
@@ -159,7 +153,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
 
   if (rng_.bernoulli(faults_.dup_prob)) {
     ++stats_.duplicated;
-    link_counter("duplicated").add(1);
+    instruments().link.duplicated.add(1);
     if (recorder_ != nullptr) {
       recorder_->record(FlightEventKind::kDuplicate, "link",
                         to_string(msg.type), msg.session_id, msg.nonce);

@@ -3,7 +3,7 @@
 #include <array>
 
 #include "common/error.h"
-#include "common/metrics.h"
+#include "protocol/instruments.h"
 
 namespace vkey::protocol::wire {
 
@@ -21,13 +21,9 @@ std::array<std::uint32_t, 256> make_crc_table() {
   return table;
 }
 
-metrics::Counter& reject_counter(WireError e) {
-  return metrics::Registry::global().counter("wire.reject." + to_string(e));
-}
-
 std::optional<Message> reject(WireError e, WireError* error) {
   if (error != nullptr) *error = e;
-  reject_counter(e).add(1);
+  instruments().wire.reject[e].add(1);
   return std::nullopt;
 }
 
@@ -145,7 +141,7 @@ std::vector<std::uint8_t> encode_frame(const Message& msg) {
   w.put_u64(msg.nonce);
   w.put_bytes(msg.payload);
   w.put_bytes(msg.mac);
-  metrics::Registry::global().counter("wire.encoded").add(1);
+  instruments().wire.encoded.add(1);
   return std::move(w).finish();
 }
 
@@ -202,20 +198,8 @@ std::optional<Message> decode_frame(std::span<const std::uint8_t> bytes,
   msg.nonce = nonce;
   msg.payload.assign(payload->begin(), payload->end());
   msg.mac.assign(mac->begin(), mac->end());
-  metrics::Registry::global().counter("wire.decoded").add(1);
+  instruments().wire.decoded.add(1);
   return msg;
-}
-
-void register_wire_metrics() {
-  auto& reg = metrics::Registry::global();
-  reg.counter("wire.encoded");
-  reg.counter("wire.decoded");
-  for (const WireError e :
-       {WireError::kTruncated, WireError::kBadMagic, WireError::kBadVersion,
-        WireError::kOversizedPayload, WireError::kOversizedMac,
-        WireError::kTrailingBytes, WireError::kBadCrc, WireError::kBadType}) {
-    reg.counter("wire.reject." + to_string(e));
-  }
 }
 
 }  // namespace vkey::protocol::wire

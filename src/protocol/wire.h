@@ -127,15 +127,10 @@ std::vector<std::uint8_t> encode_frame(const Message& msg);
 
 /// Parse a frame. On success returns the Message; on failure returns
 /// nullopt and stores the typed reason in *error (when non-null) and bumps
-/// the matching "wire.reject.<reason>" counter. Accepted frames bump
-/// "wire.decoded"; re-encoding an accepted frame reproduces the input
+/// the matching `wire.reject.<reason>` counter. Accepted frames bump
+/// `wire.decoded`; re-encoding an accepted frame reproduces the input
 /// byte-for-byte.
 std::optional<Message> decode_frame(std::span<const std::uint8_t> bytes,
                                     WireError* error = nullptr);
-
-/// Eagerly register every wire.* instrument so metric snapshots carry the
-/// full reject taxonomy (at zero) even for runs that never reject a frame —
-/// snapshot *structure* must not depend on what faults happened to fire.
-void register_wire_metrics();
 
 }  // namespace vkey::protocol::wire

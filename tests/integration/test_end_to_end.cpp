@@ -64,7 +64,7 @@ TEST_F(EndToEnd, SessionOverRealKeyMaterial) {
                                block->alice_corrected);
   protocol::BobSession bob(cfg, pipeline_->reconciler(), block->bob_key);
   protocol::PublicChannel ch;
-  EXPECT_TRUE(run_key_agreement(ch, alice, bob));
+  EXPECT_TRUE(run_key_agreement_detailed(ch, alice, bob));
   (void)ka;
 
   // And the established key protects traffic end to end.
@@ -92,7 +92,7 @@ TEST_F(EndToEnd, EveCannotDecryptTraffic) {
                                block->alice_corrected);
   protocol::BobSession bob(cfg, pipeline_->reconciler(), block->bob_key);
   protocol::PublicChannel ch;
-  ASSERT_TRUE(run_key_agreement(ch, alice, bob));
+  ASSERT_TRUE(run_key_agreement_detailed(ch, alice, bob));
 
   protocol::SecureLink alice_link(alice.final_key());
   const auto sealed = alice_link.seal(cfg.session_id, 5, {1, 2, 3});

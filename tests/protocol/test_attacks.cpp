@@ -43,7 +43,7 @@ TEST_F(AttackTest, EavesdropperSeesSyndromeButGainsNoKey) {
   AliceSession alice(cfg, *reconciler_, ka);
   BobSession bob(cfg, *reconciler_, kb);
   PublicChannel ch;
-  ASSERT_TRUE(run_key_agreement(ch, alice, bob));
+  ASSERT_TRUE(run_key_agreement_detailed(ch, alice, bob));
 
   // Eve pulls the syndrome from the transcript.
   const auto syndrome = find_syndrome(ch);
@@ -77,7 +77,7 @@ TEST_F(AttackTest, MitmTamperIsDetectedByMac) {
   BobSession bob(cfg, *reconciler_, kb);
   PublicChannel ch;
   install_syndrome_tamper(ch);
-  EXPECT_FALSE(run_key_agreement(ch, alice, bob));
+  EXPECT_FALSE(run_key_agreement_detailed(ch, alice, bob));
   EXPECT_EQ(alice.state(), SessionState::kFailed);
   EXPECT_EQ(alice.last_reject(), RejectReason::kMacMismatch);
 }
@@ -90,7 +90,7 @@ TEST_F(AttackTest, ReplayedSyndromeCannotDisturbTheSession) {
   AliceSession alice(cfg, *reconciler_, ka);
   BobSession bob(cfg, *reconciler_, kb);
   PublicChannel ch;
-  ASSERT_TRUE(run_key_agreement(ch, alice, bob));
+  ASSERT_TRUE(run_key_agreement_detailed(ch, alice, bob));
 
   const auto syndrome = find_syndrome(ch);
   ASSERT_TRUE(syndrome.has_value());

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <optional>
 
 #include "common/rng.h"
 #include "core/reconciler.h"
@@ -16,68 +17,82 @@ namespace vkey::protocol {
 namespace {
 
 TEST(Fuzz, DeserializeNeverCrashesOnRandomBytes) {
+  // Random buffers; half of them sit behind a valid magic/version header
+  // and carry a correct CRC, so the garbage reaches the length and type
+  // gates instead of dying on the magic.
   vkey::Rng rng(0xf0220);
   for (int trial = 0; trial < 2000; ++trial) {
-    const std::size_t len = rng.uniform_int(120);
-    std::vector<std::uint8_t> bytes(len);
-    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.uniform_int(256));
-    const auto msg = deserialize(bytes);
+    std::vector<std::uint8_t> body(rng.uniform_int(120));
+    for (auto& b : body) b = static_cast<std::uint8_t>(rng.uniform_int(256));
+    std::vector<std::uint8_t> bytes;
+    if (rng.bernoulli(0.5)) {
+      wire::FrameWriter w;
+      w.put_u16(wire::kMagic);
+      w.put_u8(wire::kWireVersion);
+      w.put_bytes(body);
+      bytes = std::move(w).finish();
+    } else {
+      bytes = std::move(body);
+    }
+    wire::WireError err = wire::WireError::kNone;
+    const auto msg = wire::decode_frame(bytes, &err);
     if (msg.has_value()) {
       // Anything accepted must round-trip to the same bytes.
-      EXPECT_EQ(serialize(*msg), bytes);
+      EXPECT_EQ(wire::encode_frame(*msg), bytes) << "trial " << trial;
+    } else {
+      EXPECT_NE(err, wire::WireError::kNone) << "trial " << trial;
     }
   }
 }
 
 TEST(Fuzz, BitflippedValidMessagesParseOrRejectCleanly) {
+  // CRC-32 catches every single-bit error and the structural gates run
+  // first, so no one flipped bit anywhere in a valid frame may be accepted,
+  // and every rejection is typed.
   Message m;
   m.type = MessageType::kSyndrome;
   m.session_id = 42;
   m.nonce = 7;
   m.payload.assign(32, 0xab);
   m.mac.assign(32, 0xcd);
-  const auto bytes = serialize(m);
-
-  vkey::Rng rng(0xf11b);
-  for (int trial = 0; trial < 500; ++trial) {
-    auto mutated = bytes;
-    const std::size_t pos = rng.uniform_int(mutated.size());
-    mutated[pos] ^= static_cast<std::uint8_t>(1u << rng.uniform_int(8));
-    const auto parsed = deserialize(mutated);
-    if (parsed.has_value()) {
-      EXPECT_EQ(serialize(*parsed), mutated);
+  const auto bytes = wire::encode_frame(m);
+  for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
+    for (int bit = 0; bit < 8; ++bit) {
+      auto mutated = bytes;
+      mutated[pos] ^= static_cast<std::uint8_t>(1u << bit);
+      wire::WireError err = wire::WireError::kNone;
+      ASSERT_FALSE(wire::decode_frame(mutated, &err).has_value())
+          << "byte " << pos << " bit " << bit;
+      ASSERT_NE(err, wire::WireError::kNone)
+          << "byte " << pos << " bit " << bit;
     }
   }
 }
 
 TEST(Fuzz, TruncatedAndExtendedFramesRejected) {
+  // Any cut is truncation and any extension, whatever its bytes, is
+  // trailing data: the length fields alone decide where a frame ends.
   Message m;
   m.type = MessageType::kData;
   m.session_id = 1;
   m.nonce = 2;
   m.payload = {1, 2, 3};
-  const auto bytes = serialize(m);
-  for (std::size_t cut = 1; cut <= bytes.size(); ++cut) {
+  m.mac = {4, 5};
+  const auto bytes = wire::encode_frame(m);
+  wire::WireError err = wire::WireError::kNone;
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
     const std::vector<std::uint8_t> shorter(
-        bytes.begin(), bytes.end() - static_cast<std::ptrdiff_t>(cut));
-    EXPECT_FALSE(deserialize(shorter).has_value());
+        bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(len));
+    EXPECT_FALSE(wire::decode_frame(shorter, &err).has_value());
+    EXPECT_EQ(err, wire::WireError::kTruncated) << "len " << len;
   }
+  vkey::Rng rng(0x7a11);
   auto longer = bytes;
-  longer.push_back(0);
-  EXPECT_FALSE(deserialize(longer).has_value());
-}
-
-TEST(Fuzz, HugeLengthFieldsDoNotAllocate) {
-  // Craft a frame claiming a payload of 2^60 bytes; the parser must reject
-  // it by bounds-checking against the actual buffer, not trust the field.
-  std::vector<std::uint8_t> bytes;
-  bytes.push_back(3);  // kSyndrome
-  for (int i = 0; i < 16; ++i) bytes.push_back(0);  // session + nonce
-  // payload length = 2^60
-  bytes.push_back(0x10);
-  for (int i = 0; i < 7; ++i) bytes.push_back(0);
-  bytes.push_back(0xff);  // one byte of "payload"
-  EXPECT_FALSE(deserialize(bytes).has_value());
+  for (int extra = 1; extra <= 16; ++extra) {
+    longer.push_back(static_cast<std::uint8_t>(rng.uniform_int(256)));
+    EXPECT_FALSE(wire::decode_frame(longer, &err).has_value());
+    EXPECT_EQ(err, wire::WireError::kTrailingBytes) << "extra " << extra;
+  }
 }
 
 // --------------------------------------------------------- frame codec fuzz
@@ -170,6 +185,21 @@ TEST(Fuzz, HundredThousandMutatedFramesRejectTypedOrRoundTrip) {
 // terminal states are sticky), and if both parties reach kEstablished they
 // hold the identical key.
 
+// Line noise the CRC happened to miss: flip one bit of a frame's header or
+// body and restamp the CRC, so whatever still parses reaches the state
+// machines. nullopt when the codec rejects the damaged frame.
+std::optional<Message> corrupt_past_crc(const Message& msg, vkey::Rng& rng) {
+  auto bytes = wire::encode_frame(msg);
+  bytes.resize(bytes.size() - wire::kCrcBytes);
+  bytes[rng.uniform_int(bytes.size())] ^=
+      static_cast<std::uint8_t>(1u << rng.uniform_int(8));
+  const std::uint32_t crc = wire::crc32(bytes);
+  for (int shift = 24; shift >= 0; shift -= 8) {
+    bytes.push_back(static_cast<std::uint8_t>(crc >> shift));
+  }
+  return wire::decode_frame(bytes);
+}
+
 class SessionFuzz : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -228,18 +258,15 @@ TEST_F(SessionFuzz, RandomInterleavingsNeverCrashOrDisagree) {
       // Duplication: occasionally leave a copy in flight.
       if (rng.bernoulli(0.2)) wire.push_back(msg);
 
-      // Corruption: flip a random bit of the serialized frame; frames that
-      // no longer parse are lost on the wire.
+      // Corruption: flip a random bit of the frame past the CRC; frames
+      // that no longer parse are lost on the wire.
       if (rng.bernoulli(0.15)) {
-        auto bytes = serialize(msg);
-        bytes[rng.uniform_int(bytes.size())] ^=
-            static_cast<std::uint8_t>(1u << rng.uniform_int(8));
-        auto reparsed = deserialize(bytes);
+        auto reparsed = corrupt_past_crc(msg, rng);
         if (!reparsed.has_value()) continue;
         msg = *reparsed;
       }
 
-      // Route by direction, as run_key_agreement does.
+      // Route by direction, as run_key_agreement_detailed does.
       std::optional<Message> reply;
       if (msg.type == MessageType::kKeyGenRequest ||
           msg.type == MessageType::kKeyConfirm) {
@@ -408,15 +435,12 @@ TEST_F(SessionFuzz, FailedFuzzedSessionDumpsTimelineNamingTheInjectedFault) {
       wire.erase(wire.begin() + static_cast<std::ptrdiff_t>(pick));
 
       if (rng.bernoulli(0.25)) {
-        auto bytes = serialize(msg);
-        bytes[rng.uniform_int(bytes.size())] ^=
-            static_cast<std::uint8_t>(1u << rng.uniform_int(8));
-        auto reparsed = deserialize(bytes);
+        auto reparsed = corrupt_past_crc(msg, rng);
         rec.record(FlightEventKind::kInjected, "harness",
                    "bitflip on " + to_string(msg.type), msg.session_id,
                    msg.nonce);
         injected = true;
-        if (!reparsed.has_value()) continue;  // lost to the CRC
+        if (!reparsed.has_value()) continue;  // rejected by the codec
         msg = *reparsed;
       }
 

@@ -4,17 +4,22 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.h"
+#include "common/json.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "core/reconciler.h"
 #include "protocol/gateway.h"
+#include "protocol/reliability.h"
 #include "protocol/session.h"
 #include "protocol/session_registry.h"
 #include "protocol/sim_clock.h"
 #include "protocol/unreliable_channel.h"
+#include "protocol/wire.h"
 
 namespace vkey::protocol {
 namespace {
@@ -23,6 +28,85 @@ channel::LoRaParams fast_radio() {
   channel::LoRaParams p;
   p.spreading_factor = 7;  // keep virtual airtimes small in tests
   return p;
+}
+
+/// Every registered instrument as "<kind> <name>", sorted.
+std::vector<std::string> registered_names() {
+  const json::Value snap = metrics::Registry::global().snapshot();
+  std::vector<std::string> out;
+  for (const char* kind : {"counters", "gauges", "histograms"}) {
+    for (const auto& [name, value] : snap.at(kind).as_object()) {
+      out.push_back(std::string(kind) + " " + name);
+    }
+  }
+  return out;
+}
+
+// ------------------------------------------------------ instrument catalogue
+
+TEST(Instruments, RegisterGatewayMetricsRegistersTheGoldenNameSet) {
+  // perfbench, the telemetry prefixes and the BENCH snapshots read these
+  // instruments by name: a rename must fail here, not silently zero a read.
+  register_gateway_metrics();
+  std::vector<std::string> stack;
+  for (const std::string& n : registered_names()) {
+    const std::string name = n.substr(n.find(' ') + 1);
+    for (const char* prefix : {"arq.", "gateway.", "link.", "reliability.",
+                               "session.", "wire."}) {
+      if (name.rfind(prefix, 0) == 0) stack.push_back(n);
+    }
+  }
+  const std::vector<std::string> golden = {
+      "counters arq.acks_received",
+      "counters arq.acks_sent",
+      "counters arq.data_sent",
+      "counters arq.gave_up",
+      "counters arq.retransmissions",
+      "counters arq.timeouts",
+      "counters gateway.admissions",
+      "counters gateway.arrivals",
+      "counters gateway.establish_failures",
+      "counters gateway.evictions.failed",
+      "counters gateway.evictions.idle",
+      "counters gateway.keys_established",
+      "counters gateway.rekeys",
+      "counters link.corrupted",
+      "counters link.crc_lost",
+      "counters link.dropped",
+      "counters link.duplicated",
+      "counters link.reordered",
+      "counters link.sent",
+      "counters reliability.attempts",
+      "counters reliability.established",
+      "counters reliability.exhausted",
+      "counters reliability.failure.confirm-mismatch",
+      "counters reliability.failure.mac-mismatch",
+      "counters reliability.failure.protocol-error",
+      "counters reliability.failure.retry-exhausted",
+      "counters reliability.failure.timeout",
+      "counters session.established",
+      "counters session.frames_delivered",
+      "counters session.runs",
+      "counters wire.decoded",
+      "counters wire.encoded",
+      "counters wire.reject.crc",
+      "counters wire.reject.mac-len",
+      "counters wire.reject.magic",
+      "counters wire.reject.payload-len",
+      "counters wire.reject.trailing",
+      "counters wire.reject.truncated",
+      "counters wire.reject.type",
+      "counters wire.reject.version",
+      "gauges gateway.active_sessions",
+      "gauges gateway.inflight_sessions",
+      "gauges gateway.queued_sessions",
+      "histograms arq.backoff_ms",
+      "histograms gateway.queue_wait_ms",
+      "histograms gateway.time_to_key_ms",
+      "histograms reliability.attempt_ms",
+      "histograms reliability.time_to_establish_ms",
+  };
+  EXPECT_EQ(stack, golden);
 }
 
 // --------------------------------------------------------- SessionRegistry
@@ -438,6 +522,48 @@ TEST_F(GatewayTest, LifecycleTicksLandOnTheGridAndCoverTheWholeRun) {
   EXPECT_DOUBLE_EQ(prep.p99_time_to_key_ms, rep.p99_time_to_key_ms);
   EXPECT_LE(prep.makespan_ms, rep.makespan_ms);
   EXPECT_LE(rep.makespan_ms - prep.makespan_ms, cfg.tick_interval_ms);
+}
+
+TEST_F(GatewayTest, RarePathsAfterOneCleanAgreementRegisterNoInstrument) {
+  // Once one clean agreement has run, a timeout, a CRC reject and an idle
+  // eviction only move values: none of them is a first registration (the
+  // heap blocks a long soak's zero-growth gate would flag).
+  const bool prev = metrics::enabled();
+  metrics::set_enabled(true);
+  const auto per_attempt = [m = material()](std::size_t attempt) {
+    return m(0, attempt);
+  };
+  ReliabilityConfig cfg;
+  cfg.radio = fast_radio();
+  PublicChannel base;
+  ASSERT_TRUE(
+      run_reliable_key_agreement(base, *reconciler_, cfg, per_attempt)
+          .established);
+  const std::vector<std::string> before = registered_names();
+
+  // A deadline shorter than one frame's airtime.
+  cfg.attempt_timeout_ms = 1.0;
+  cfg.max_session_attempts = 1;
+  EXPECT_EQ(run_reliable_key_agreement(base, *reconciler_, cfg, per_attempt)
+                .failure,
+            FailureReason::kTimeout);
+
+  Message ack;
+  ack.type = MessageType::kAck;
+  auto frame = wire::encode_frame(ack);
+  frame[wire::kHeaderBytes - 1] ^= 0x01;
+  wire::WireError err = wire::WireError::kNone;
+  EXPECT_FALSE(wire::decode_frame(frame, &err).has_value());
+  EXPECT_EQ(err, wire::WireError::kBadCrc);
+
+  SessionRegistry reg(1);
+  reg.arrive(0, 0.0);
+  ASSERT_TRUE(reg.admit_next(0.0).has_value());
+  reg.established(0, 1.0);
+  reg.evict(0, 2.0, EvictReason::kIdle);
+
+  EXPECT_EQ(registered_names(), before);
+  metrics::set_enabled(prev);
 }
 
 TEST_F(GatewayTest, TickObserverIsInertWithoutAnInterval) {

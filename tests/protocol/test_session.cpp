@@ -54,7 +54,7 @@ TEST_F(SessionTest, HappyPathEstablishesSameKey) {
   AliceSession alice(cfg, *reconciler_, ka);
   BobSession bob(cfg, *reconciler_, kb);
   PublicChannel ch;
-  EXPECT_TRUE(run_key_agreement(ch, alice, bob));
+  EXPECT_TRUE(run_key_agreement_detailed(ch, alice, bob));
   EXPECT_EQ(alice.state(), SessionState::kEstablished);
   EXPECT_EQ(bob.state(), SessionState::kEstablished);
   EXPECT_EQ(alice.final_key(), bob.final_key());
@@ -67,7 +67,7 @@ TEST_F(SessionTest, IdenticalKeysAlsoWork) {
   AliceSession alice(cfg, *reconciler_, k);
   BobSession bob(cfg, *reconciler_, k);
   PublicChannel ch;
-  EXPECT_TRUE(run_key_agreement(ch, alice, bob));
+  EXPECT_TRUE(run_key_agreement_detailed(ch, alice, bob));
 }
 
 TEST_F(SessionTest, HopelessMismatchFailsCleanly) {
@@ -80,7 +80,7 @@ TEST_F(SessionTest, HopelessMismatchFailsCleanly) {
   AliceSession alice(cfg, *reconciler_, ka);
   BobSession bob(cfg, *reconciler_, kb);
   PublicChannel ch;
-  EXPECT_FALSE(run_key_agreement(ch, alice, bob));
+  EXPECT_FALSE(run_key_agreement_detailed(ch, alice, bob));
   EXPECT_NE(alice.state(), SessionState::kEstablished);
 }
 

@@ -70,6 +70,19 @@ no-raw-memcmp-on-secrets
     outside the secret layers (e.g. file-magic checks in nn/serialize) and
     tests comparing public vectors are unaffected.
 
+instrument-lookup
+    In library code (`src/`), `metrics::Registry::global()` appears only
+    as the initializer of a `static` — one function-local static per
+    instrument (or per registry reference), bound once per process. Any
+    other statement that reaches the registry runs its find-or-create
+    search, which builds a name, takes the global mutex and scans by string,
+    every time it executes; on a per-event path that is most of the
+    metrics cost, and `VKEY_METRICS=off` cannot remove it. The protocol
+    stack declares its instruments in the catalogue
+    (`src/protocol/instruments.*`); elsewhere, bind a function-local
+    static. The registry itself and the whole-snapshot readers are
+    allowlisted.
+
 pragma-once
     Every header's first preprocessor directive must be `#pragma once`.
 
@@ -129,6 +142,29 @@ ALLOWLIST = {
         "sim-clock-owner": (
             "the gateway scheduler constructs the dedicated per-session "
             "sub-clocks it hands to run_reliable_key_agreement_on"
+        ),
+    },
+    "src/common/metrics.cpp": {
+        "instrument-lookup": (
+            "the registry itself: defines Registry::global()"
+        ),
+    },
+    "src/protocol/instruments.cpp": {
+        "instrument-lookup": (
+            "the protocol stack's instrument catalogue binds every member "
+            "once, inside the initializer of its function-local static"
+        ),
+    },
+    "src/common/bench_io.cpp": {
+        "instrument-lookup": (
+            "snapshot reader: copies the whole registry into a bench "
+            "document once per run, never per event"
+        ),
+    },
+    "src/common/telemetry.cpp": {
+        "instrument-lookup": (
+            "snapshot reader: the sampler reads the whole registry once per "
+            "virtual-time sample, never per event"
         ),
     },
     "src/crypto/secret_buffer.cpp": {
@@ -195,6 +231,12 @@ SIM_CLOCK_OWNER_SCOPE = "src/protocol/"
 MEMCMP_PATTERN = re.compile(r"(?<![\w:])(?:std\s*::\s*)?memcmp\s*\(")
 MEMCMP_SCOPES = ("src/crypto/", "src/protocol/")
 
+# Registry lookups in library code: allowed only as the initializer of a
+# `static` (the statement, which may span lines, must start with `static`).
+INSTRUMENT_LOOKUP_PATTERN = re.compile(r"Registry\s*::\s*global\s*\(\s*\)")
+INSTRUMENT_LOOKUP_SCOPE = "src/"
+STATEMENT_START = re.compile(r"^\s*static\b")
+
 IOSTREAM_PATTERN = re.compile(r"#\s*include\s*<iostream>")
 USING_NAMESPACE_PATTERN = re.compile(r"(?<![\w:])using\s+namespace\s+[\w:]+")
 SUPPRESS_PATTERN = re.compile(r"//\s*vkey-lint:\s*allow\(([\w, -]+)\)")
@@ -243,6 +285,29 @@ def code_view(line):
     if idx >= 0:
         line = line[:idx]
     return line
+
+
+def lookup_statements(lines, block_lines):
+    """(line, statement prefix) for each Registry::global() in the code.
+
+    The prefix runs from the end of the previous statement or brace to the
+    lookup, so a static initializer split over lines still starts with
+    `static`."""
+    code = []
+    starts = []
+    offset = 0
+    for i, raw in enumerate(lines, start=1):
+        text = "" if i in block_lines else code_view(raw)
+        starts.append(offset)
+        code.append(text)
+        offset += len(text) + 1
+    joined = "\n".join(code)
+    out = []
+    for m in INSTRUMENT_LOOKUP_PATTERN.finditer(joined):
+        begin = max(joined.rfind(c, 0, m.start()) for c in ";{}") + 1
+        lineno = joined.count("\n", 0, m.start()) + 1
+        out.append((lineno, joined[begin:m.start()]))
+    return out
 
 
 def scan_file(path, rel, explain):
@@ -321,6 +386,16 @@ def scan_file(path, rel, explain):
         if is_header and USING_NAMESPACE_PATTERN.search(code):
             check("using-namespace-in-header", i, raw,
                   "`using namespace` leaks into every includer")
+
+    if rel.startswith(INSTRUMENT_LOOKUP_SCOPE):
+        for lineno, statement in lookup_statements(lines, block_lines):
+            if not STATEMENT_START.match(statement):
+                check("instrument-lookup", lineno, lines[lineno - 1],
+                      "registry lookup outside a static initializer runs a "
+                      "locked by-name search each time; declare the "
+                      "instrument in the protocol catalogue "
+                      "(protocol/instruments.h) or bind a function-local "
+                      "static")
 
     if is_header:
         if not saw_pragma_once:
