@@ -9,7 +9,6 @@
 
 #include "common/error.h"
 #include "common/parallel.h"
-#include "nn/activations.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 

@@ -1,27 +1,12 @@
-// Pointwise activation helpers for vkey::nn.
+// Activation derivatives for vkey::nn, written in terms of the activation's
+// output. The activations themselves are the owned transcendentals in
+// nn/vmath.h.
 #pragma once
 
-#include <cmath>
-
-#include "nn/param.h"
-
 namespace vkey::nn {
-
-inline double sigmoid(double x) {
-  // Split form avoids overflow for large |x|.
-  if (x >= 0.0) {
-    const double e = std::exp(-x);
-    return 1.0 / (1.0 + e);
-  }
-  const double e = std::exp(x);
-  return e / (1.0 + e);
-}
 
 inline double dsigmoid_from_y(double y) { return y * (1.0 - y); }
 
 inline double dtanh_from_y(double y) { return 1.0 - y * y; }
-
-/// Element-wise sigmoid of a vector.
-Vec sigmoid_vec(const Vec& x);
 
 }  // namespace vkey::nn

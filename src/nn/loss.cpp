@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "nn/activations.h"
+#include "nn/vmath.h"
 
 namespace vkey::nn {
 
@@ -34,24 +34,27 @@ double bce_with_logits(std::span<const double> logits,
   VKEY_REQUIRE(logits.size() == target.size() && !logits.empty() &&
                    grad.size() == logits.size(),
                "bce_with_logits size mismatch");
+  for (const double z : target)
+    VKEY_REQUIRE(z >= 0.0 && z <= 1.0, "BCE target must be in [0,1]");
+  // Stable form: max(x,0) - x*z + log(1 + exp(-|x|)); grad holds exp(-|x|)
+  // until the sigmoid overwrites it.
+  for (std::size_t i = 0; i < logits.size(); ++i)
+    grad[i] = -std::fabs(logits[i]);
+  vexp(grad, grad);
   double loss = 0.0;
   for (std::size_t i = 0; i < logits.size(); ++i) {
-    VKEY_REQUIRE(target[i] >= 0.0 && target[i] <= 1.0,
-                 "BCE target must be in [0,1]");
     const double x = logits[i];
-    const double z = target[i];
-    // Stable form: max(x,0) - x*z + log(1 + exp(-|x|)).
-    loss += std::max(x, 0.0) - x * z + std::log1p(std::exp(-std::fabs(x)));
-    grad[i] = sigmoid(x) - z;
+    loss += std::max(x, 0.0) - x * target[i] + std::log1p(grad[i]);
   }
+  vsigmoid(logits, grad);
+  for (std::size_t i = 0; i < logits.size(); ++i) grad[i] -= target[i];
   return loss;
 }
 
 BceResult bce_with_logits(const Vec& logits, const Vec& target) {
   BceResult r{0.0, Vec(logits.size()), Vec(logits.size())};
   r.loss = bce_with_logits(std::span<const double>(logits), target, r.grad);
-  for (std::size_t i = 0; i < logits.size(); ++i)
-    r.probability[i] = sigmoid(logits[i]);
+  vsigmoid(logits, r.probability);
   return r;
 }
 

@@ -3,10 +3,10 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "nn/activations.h"
 #include "nn/dense.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
+#include "nn/vmath.h"
 
 namespace vkey::nn {
 namespace {
@@ -69,10 +69,13 @@ TEST(BceWithLogits, GradientMatchesNumeric) {
 }
 
 TEST(Activations, SigmoidSymmetry) {
-  EXPECT_NEAR(sigmoid(0.0), 0.5, 1e-12);
-  EXPECT_NEAR(sigmoid(3.0) + sigmoid(-3.0), 1.0, 1e-12);
-  EXPECT_NEAR(sigmoid(100.0), 1.0, 1e-12);
-  EXPECT_NEAR(sigmoid(-100.0), 0.0, 1e-12);
+  const Vec x{0.0, 3.0, -3.0, 100.0, -100.0};
+  Vec s(x.size());
+  vsigmoid(x, s);
+  EXPECT_NEAR(s[0], 0.5, 1e-12);
+  EXPECT_NEAR(s[1] + s[2], 1.0, 1e-12);
+  EXPECT_NEAR(s[3], 1.0, 1e-12);
+  EXPECT_NEAR(s[4], 0.0, 1e-12);
 }
 
 TEST(Sgd, ConvergesOnQuadratic) {
@@ -130,8 +133,9 @@ TEST(Adam, TrainsXorWithHiddenLayer) {
     opt.step(data.size());
   }
   for (const auto& [x, y] : data) {
-    const double p = sigmoid(l2.infer(l1.infer(x))[0]);
-    EXPECT_NEAR(p, y, 0.2) << x[0] << "," << x[1];
+    Vec p = l2.infer(l1.infer(x));
+    vsigmoid(p, p);
+    EXPECT_NEAR(p[0], y, 0.2) << x[0] << "," << x[1];
   }
 }
 

@@ -83,6 +83,17 @@ instrument-lookup
     static. The registry itself and the whole-snapshot readers are
     allowlisted.
 
+owned-transcendentals
+    No `std::exp`, `std::tanh` (qualified or not) and no
+    `std::log1p(std::exp(...))` in the NN stack (`src/nn/`) or in the
+    predictor and reconciler (`src/core/predictor.cpp`,
+    `src/core/reconciler.cpp`). Every nonlinearity there goes through the
+    owned `nn::vexp` / `nn::vtanh` / `nn::vsigmoid` (src/nn/vmath.h), whose
+    scalar and AVX2 paths are bit-identical: a stray libm call brings back
+    the dependence on which exp/tanh variant glibc selects for the CPU, and
+    with it snapshots that differ between hosts. `src/nn/vmath.cpp` is the
+    single sanctioned owner of these functions.
+
 pragma-once
     Every header's first preprocessor directive must be `#pragma once`.
 
@@ -167,6 +178,12 @@ ALLOWLIST = {
             "virtual-time sample, never per event"
         ),
     },
+    "src/nn/vmath.cpp": {
+        "owned-transcendentals": (
+            "the owned transcendentals themselves: everything else in the "
+            "NN stack calls vexp/vtanh/vsigmoid"
+        ),
+    },
     "src/crypto/secret_buffer.cpp": {
         "no-raw-memcmp-on-secrets": (
             "the zeroizing container is the single sanctioned comparison "
@@ -236,6 +253,18 @@ MEMCMP_SCOPES = ("src/crypto/", "src/protocol/")
 INSTRUMENT_LOOKUP_PATTERN = re.compile(r"Registry\s*::\s*global\s*\(\s*\)")
 INSTRUMENT_LOOKUP_SCOPE = "src/"
 STATEMENT_START = re.compile(r"^\s*static\b")
+
+# libm transcendentals in the NN stack, the predictor and the reconciler:
+# they route through the owned, host-independent nn/vmath.h instead.
+TRANSCENDENTAL_PATTERNS = [
+    re.compile(r"std\s*::\s*log1p\s*\(\s*std\s*::\s*exp\b"),
+    re.compile(r"(?<![\w:.>])(?:std\s*::\s*)?(?:exp|tanh)\s*\("),
+]
+TRANSCENDENTAL_SCOPES = (
+    "src/nn/",
+    "src/core/predictor.cpp",
+    "src/core/reconciler.cpp",
+)
 
 IOSTREAM_PATTERN = re.compile(r"#\s*include\s*<iostream>")
 USING_NAMESPACE_PATTERN = re.compile(r"(?<![\w:])using\s+namespace\s+[\w:]+")
@@ -378,6 +407,14 @@ def scan_file(path, rel, explain):
                           "the gateway engine owns the shared timeline and "
                           "mints per-session sub-clocks — take a SimClock& "
                           "from the caller instead")
+                    break
+        if rel.startswith(TRANSCENDENTAL_SCOPES):
+            for pat in TRANSCENDENTAL_PATTERNS:
+                if pat.search(code):
+                    check("owned-transcendentals", i, raw,
+                          "libm exp/tanh in the NN stack; call nn::vexp / "
+                          "nn::vtanh / nn::vsigmoid (src/nn/vmath.h), whose "
+                          "results do not depend on the host's libm")
                     break
         if IOSTREAM_PATTERN.search(code):
             check("iostream-in-lib", i, raw,
