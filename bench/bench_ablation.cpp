@@ -7,7 +7,6 @@
 //   A3. tied vs untied reconciler encoders
 //   A4. frozen (random-projection) vs jointly-trained encoder
 //   A5. greedy verified decoding vs the one-shot decoder pass
-//   A6. float vs int8 predictor inference (PredictorConfig::quantized)
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -174,61 +173,6 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  // --- A6: int8 predictor inference ---
-  {
-    // One trained model, evaluated through both inference paths on held-out
-    // windows. The quantity of interest is the key-agreement cost of the
-    // fast path: KAR vs Bob for each path, how many of Alice's key bits the
-    // int8 path flips relative to float, and the largest probability
-    // perturbation (bits only flip where the float probability already sat
-    // near the 0.5 threshold).
-    const auto st = extract_streams(rounds, ex, 4);
-    DatasetConfig ds;
-    ds.stride = 4;  // overlap to stretch the small bench trace
-    const auto samples = make_samples(st, ds);
-    const std::size_t n_train = samples.size() * 3 / 4;
-    const std::span<const TrainingSample> train(samples.data(), n_train);
-    const std::span<const TrainingSample> eval(samples.data() + n_train,
-                                               samples.size() - n_train);
-    PredictorConfig pc;
-    PredictorQuantizer pred(pc);
-    pred.train(train, report.scaled(20, 5));
-
-    struct PathScore {
-      double kar = 0.0;
-      std::size_t flips = 0;
-      double max_dp = 0.0;
-    };
-    PathScore fl, q8;
-    std::size_t bits_total = 0;
-    for (const auto& s : eval) {
-      pred.set_quantized(false);
-      const auto of = pred.infer(s.alice_seq);
-      pred.set_quantized(true);
-      const auto oq = pred.infer(s.alice_seq);
-      fl.kar += of.bits.agreement(s.bob_bits);
-      q8.kar += oq.bits.agreement(s.bob_bits);
-      bits_total += of.bits.size();
-      for (std::size_t i = 0; i < of.bits.size(); ++i) {
-        q8.flips += of.bits.get(i) != oq.bits.get(i);
-        q8.max_dp = std::max(
-            q8.max_dp, std::fabs(of.probabilities[i] - oq.probabilities[i]));
-      }
-    }
-    pred.set_quantized(false);
-    const double ne = static_cast<double>(eval.size());
-    Table t({"inference path", "KAR vs Bob", "bits flipped vs float",
-             "max |dp|"});
-    t.add_row({"float (bit-exact reference)", Table::pct(fl.kar / ne), "0",
-               "0"});
-    t.add_row({"int8 + polynomial gates", Table::pct(q8.kar / ne),
-               std::to_string(q8.flips) + " / " + std::to_string(bits_total),
-               Table::fmt(q8.max_dp, 4)});
-    const std::string caption =
-        "A6: int8 predictor inference (same trained model, held-out windows)";
-    t.print(caption);
-    report.add_table("ablation_a6_int8", caption, t);
-  }
   report.write();
   return 0;
 }

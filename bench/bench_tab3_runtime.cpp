@@ -33,7 +33,6 @@ namespace {
 // Shared trained state, built once.
 struct Fixture {
   PredictorQuantizer predictor;
-  PredictorQuantizer predictor_int8;  ///< same weights, int8 infer path
   AutoencoderReconciler reconciler;
   nn::Vec alice_seq;
   std::vector<nn::Vec> batch_windows;  ///< 16 windows for the batched stage
@@ -49,13 +48,11 @@ struct Fixture {
           cfg.hidden = 32;  // the evaluation configuration
           return cfg;
         }()),
-        predictor_int8(predictor),
         reconciler([] {
           ReconcilerConfig cfg;
           cfg.decoder_units = 64;
           return cfg;
         }()) {
-    predictor_int8.set_quantized(true);
     reconciler.train(800, 8);  // weights just need to be realistic
     vkey::Rng rng(5);
     alice_seq.resize(64);
@@ -111,16 +108,6 @@ void BM_Alice_PredictionAndQuantization_Batch16(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 16);
 }
 BENCHMARK(BM_Alice_PredictionAndQuantization_Batch16);
-
-/// The int8 fast path (PredictorConfig::quantized) — NOT bit-exact with
-/// the float rows; bench_ablation table A6 reports its KAR cost.
-void BM_Alice_PredictionAndQuantization_Int8(benchmark::State& state) {
-  auto& f = fixture();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.predictor_int8.infer(f.alice_seq));
-  }
-}
-BENCHMARK(BM_Alice_PredictionAndQuantization_Int8);
 
 void BM_Alice_Reconciliation(benchmark::State& state) {
   auto& f = fixture();

@@ -17,10 +17,6 @@
 //   --decoder-units N      reconciler decoder width         default 64
 //   --seed N               simulation seed                  default 1
 //   --no-prediction        ablate the BiLSTM (direct quantization)
-//   --int8                 run predictor *inference* through the int8
-//                          fused kernels with polynomial activations
-//                          (training stays float; see DESIGN.md "NN
-//                          kernel core" for the KAR impact)
 //
 // Fault injection (any of these enables the reliable-link phase, which
 // replays every evaluation block through the ARQ transport over a lossy
@@ -93,7 +89,7 @@ namespace {
                "usage: %s [--scenario v2i-urban|v2i-rural|v2v-urban|"
                "v2v-rural] [--speed KMH] [--train-rounds N] "
                "[--test-rounds N] [--hidden N] [--epochs N] "
-               "[--decoder-units N] [--seed N] [--no-prediction] [--int8] "
+               "[--decoder-units N] [--seed N] [--no-prediction] "
                "[--drop P] [--reorder P] [--dup P] [--corrupt P] "
                "[--link-seed N] [--gateway N] [--max-inflight N] "
                "[--metrics] [--metrics-json PATH] "
@@ -187,7 +183,6 @@ int main(int argc, char** argv) {
     else if (arg == "--decoder-units") cfg.reconciler.decoder_units = static_cast<std::size_t>(next_u64());
     else if (arg == "--seed") cfg.trace.seed = next_u64();
     else if (arg == "--no-prediction") cfg.use_prediction = false;
-    else if (arg == "--int8") cfg.predictor.quantized = true;
     // The channel model requires drop < 1 (certain loss can never make
     // progress); the other fault probabilities live in [0, 1].
     else if (arg == "--drop") { fault.drop_prob = clamp_prob("--drop", next_double(), 0.0, 0.99); run_link = true; }
@@ -218,9 +213,7 @@ int main(int argc, char** argv) {
               to_string(kind).c_str(), speed,
               static_cast<unsigned long long>(cfg.trace.seed), train_rounds,
               test_rounds,
-              !cfg.use_prediction      ? "off"
-              : cfg.predictor.quantized ? "on (int8)"
-                                        : "on");
+              cfg.use_prediction ? "on" : "off");
 
   // Optional telemetry: one sampler spans all phases on a single monotone
   // virtual timeline (each phase's SimClock starts at zero, so their spans

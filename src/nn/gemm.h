@@ -31,12 +31,6 @@
 // element its own chain, k ascending) carries every gradient sum and
 // `adam_update` the optimizer, each bit-identical to the per-sample loops
 // they replaced.
-//
-// `QuantizedMatrix` plus the *_approx activations are the optional int8
-// path (per-row weight scales, per-vector dynamic input scale, exact int32
-// accumulation, polynomial gate activations). It is NOT bit-exact with the
-// float path by construction; PredictorConfig::quantized gates it and
-// bench_ablation measures the key-agreement-rate delta.
 #pragma once
 
 #include <atomic>
@@ -100,45 +94,6 @@ class PackedMatrix {
   std::vector<double> data_;
 };
 
-/// Int8-quantized row-major matrix: per-row symmetric scales
-/// (scale_r = max|w_r| / 127), exact int32 accumulation, dequantized as
-///   y[r] = bias[r] + scale_r * x_scale * sum_c wq[r][c] * xq[c].
-/// Inputs are quantized dynamically per vector via quantize_input().
-class QuantizedMatrix {
- public:
-  QuantizedMatrix() = default;
-
-  void pack(const double* w, std::size_t rows, std::size_t cols);
-
-  /// Fused-pair packing, mirroring PackedMatrix::pack_pair. Each row is
-  /// scaled as one unit so the dequantization stays a single per-row scale.
-  void pack_pair(const double* wa, std::size_t cols_a, const double* wb,
-                 std::size_t cols_b, std::size_t rows);
-
-  std::size_t rows() const noexcept { return rows_; }
-  std::size_t cols() const noexcept { return cols_; }
-  /// Input scratch for matvec() must hold this many int8 lanes (cols
-  /// rounded up to the SIMD stride), zero-filled past cols().
-  std::size_t padded_cols() const noexcept { return cols_padded_; }
-  bool empty() const noexcept { return data_.empty(); }
-
-  /// Quantize x[0..n) into xq with a symmetric per-vector scale; returns
-  /// the scale (0.0 for an all-zero vector, with xq zeroed).
-  static double quantize_input(const double* x, std::size_t n,
-                               std::int8_t* xq);
-
-  /// y[r] = bias[r] + row_scale[r] * x_scale * acc_r (bias may be null).
-  void matvec(const std::int8_t* xq, double x_scale, const double* bias,
-              double* y) const;
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  std::size_t cols_padded_ = 0;     ///< cols rounded up to a SIMD multiple
-  std::vector<std::int8_t> data_;   ///< row-major int8, zero-padded tail
-  std::vector<double> row_scale_;   ///< per-row dequantization scales
-};
-
 /// Ordered-accumulation GEMM, the training core: C += A * B with
 ///   A(i, p) = a[i * a_row + p * a_col]   (m x k; any strides, so a
 ///                                         transposed A is a_row = 1)
@@ -168,21 +123,13 @@ struct AdamStep {
 void adam_update(const AdamStep& s, std::size_t n, double* value,
                  double* grad, double* m, double* v);
 
-/// Fast polynomial activations for the quantized path: a clamped Pade(7,6)
-/// tanh (|error| < 1e-4 over the reals) and the matching sigmoid via
-/// sigmoid(x) = (1 + tanh(x/2)) / 2. NOT bit-exact with std::tanh /
-/// nn::sigmoid — quantized-path only.
-void tanh_approx(const double* x, std::size_t n, double* y);
-void sigmoid_approx(const double* x, std::size_t n, double* y);
-
 /// Revision-keyed lazy cache guard for packed weight layouts.
 ///
-/// Layers keep their PackedMatrix/QuantizedMatrix caches behind one of
-/// these: ensure() repacks (under a mutex, double-checked) whenever the
-/// observed parameter revision differs from the revision the cache was
-/// built at. Concurrent readers with up-to-date caches take one acquire
-/// load. Copying a guard resets it, so layers stay copyable and a copy
-/// repacks on first use.
+/// Layers keep their PackedMatrix caches behind one of these: ensure()
+/// repacks (under a mutex, double-checked) whenever the observed parameter
+/// revision differs from the revision the cache was built at. Concurrent
+/// readers with up-to-date caches take one acquire load. Copying a guard
+/// resets it, so layers stay copyable and a copy repacks on first use.
 class PackGuard {
  public:
   PackGuard() = default;
