@@ -29,8 +29,8 @@ struct BceResult {
 BceResult bce_with_logits(const Vec& logits, const Vec& target);
 
 /// Allocation-free forms for the training loops: write the gradient into
-/// `grad` (same length as the inputs) and return the loss. The Vec forms
-/// above wrap these, so both give the same bits.
+/// `grad` (same length as the inputs, not overlapping them) and return the
+/// loss. The Vec forms above wrap these, so both give the same bits.
 double mse_loss(std::span<const double> pred, std::span<const double> target,
                 std::span<double> grad);
 double bce_with_logits(std::span<const double> logits,
