@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,6 +15,7 @@
 #include "common/json.h"
 #include "common/metrics.h"
 #include "common/rng.h"
+#include "common/telemetry.h"
 #include "core/reconciler.h"
 #include "protocol/gateway.h"
 #include "protocol/reliability.h"
@@ -329,6 +333,131 @@ TEST_F(GatewayTest, ThousandSessionRunIsIdenticalAcrossLaneCounts) {
     EXPECT_EQ(out1[d].wire_bytes, out4[d].wire_bytes) << "device " << d;
     EXPECT_EQ(out1[d].attempts, out4[d].attempts) << "device " << d;
     ASSERT_TRUE(out1[d].key == out4[d].key) << "device " << d;
+  }
+}
+
+/// Every field of a report and of the per-device outcomes, doubles in hex,
+/// so two runs compare exactly with one string comparison.
+std::string fingerprint(const GatewayReport& rep,
+                        const std::vector<SessionOutcome>& outcomes) {
+  std::string out;
+  const auto add = [&out](const char* fmt, auto... v) {
+    char buf[160];
+    std::snprintf(buf, sizeof buf, fmt, v...);
+    out += buf;
+  };
+  add("%zu %zu %zu %zu %zu %zu %zu %zu\n", rep.sessions, rep.established,
+      rep.failed, rep.evicted_idle, rep.evicted_failed, rep.rekeys,
+      rep.peak_inflight, rep.peak_queued);
+  add("%a %a %a %a %a %a %a %a %a\n", rep.makespan_ms,
+      rep.establish_span_ms, rep.keys_per_vsecond, rep.median_time_to_key_ms,
+      rep.p95_time_to_key_ms, rep.p99_time_to_key_ms, rep.mean_queue_wait_ms,
+      rep.mean_attempts, rep.bytes_per_session);
+  for (const std::string& dump : rep.failure_dumps) out += dump + "\n";
+  add("suppressed %zu\n", rep.failures_suppressed);
+  for (const SessionOutcome& o : outcomes) {
+    add("%d %d %a %zu %zu %zu %zu ", o.established ? 1 : 0,
+        static_cast<int>(o.failure), o.establish_ms, o.attempts,
+        o.wire_frames, o.wire_bytes, o.retransmissions);
+    out += o.key.to_string() + "\n";
+  }
+  return out;
+}
+
+/// A lossy config with small batches: many look-ahead launches, joins and
+/// recovery attempts in one short run.
+GatewayConfig lookahead_config(std::size_t threads) {
+  GatewayConfig cfg;
+  cfg.sessions = 300;
+  cfg.max_inflight = 24;
+  cfg.arrival_interval_ms = 2.0;
+  cfg.rekey_interval_ms = 1500.0;
+  cfg.max_rekeys = 1;
+  cfg.idle_timeout_ms = 4000.0;
+  cfg.sim_batch = 16;
+  cfg.threads = threads;
+  cfg.reliability.radio = fast_radio();
+  cfg.reliability.max_session_attempts = 3;
+  cfg.reliability.fault.drop_prob = 0.2;
+  cfg.reliability.fault.corrupt_prob = 0.05;
+  cfg.reliability.fault.dup_prob = 0.05;
+  cfg.reliability.fault.reorder_prob = 0.05;
+  cfg.failure_dump_limit = 2;
+  return cfg;
+}
+
+TEST_F(GatewayTest, LookAheadRunIsIdenticalAtOneTwoAndFourLanes) {
+  for (const bool prefetch : {false, true}) {
+    const auto run_with = [&](std::size_t threads) {
+      GatewayEngine engine(lookahead_config(threads), *reconciler_,
+                           material());
+      if (prefetch) {
+        engine.set_batch_material([m = material()](std::uint64_t first,
+                                                    std::size_t count) {
+          std::vector<std::pair<BitVec, BitVec>> out;
+          for (std::size_t i = 0; i < count; ++i) out.push_back(m(first + i, 0));
+          return out;
+        });
+      }
+      const GatewayReport rep = engine.run();
+      return fingerprint(rep, engine.outcomes());
+    };
+    const std::string one = run_with(1);
+    EXPECT_EQ(run_with(2), one) << "prefetch=" << prefetch;
+    EXPECT_EQ(run_with(4), one) << "prefetch=" << prefetch;
+  }
+}
+
+TEST_F(GatewayTest, TickSampledTelemetryIsByteIdenticalAcrossLaneCounts) {
+  // The soak's telemetry contract inside ctest: each tick joins the
+  // look-ahead batch, so what it samples is the same at every lane count.
+  const bool prev = metrics::enabled();
+  metrics::set_enabled(true);
+  const auto run_with = [&](std::size_t threads) {
+    metrics::Registry::global().reset();
+    telemetry::SamplerConfig scfg;
+    scfg.include_prefixes = telemetry::deterministic_prefixes();
+    telemetry::Sampler sampler(scfg);
+    GatewayConfig cfg = lookahead_config(threads);
+    cfg.tick_interval_ms = 50.0;
+    GatewayEngine engine(cfg, *reconciler_, material());
+    engine.set_tick([&sampler](double now_ms) { sampler.sample(now_ms); });
+    engine.run();
+    EXPECT_GT(sampler.samples_taken(), 10u);
+    return sampler.to_jsonl();
+  };
+  const std::string one = run_with(1);
+  EXPECT_EQ(run_with(4), one);
+  metrics::set_enabled(prev);
+}
+
+TEST_F(GatewayTest, MaterialFailureInTheLookAheadBatchSurfacesFromRun) {
+  // Device 40 sits in the third 16-device batch, which runs as look-ahead
+  // while the lifecycle thread works through the second. Its exception
+  // must come out of run() at every lane count, and the engine must then
+  // be destroyed cleanly (ASan/TSan watch the batch's lanes here).
+  for (const std::size_t threads : {1u, 2u, 4u}) {
+    GatewayConfig cfg = lookahead_config(threads);
+    cfg.reliability.fault = FaultConfig{};
+    const GatewayEngine::MaterialFn failing =
+        [m = material()](std::uint64_t device, std::size_t attempt) {
+          if (device == 40) throw std::runtime_error("probe source failed");
+          return m(device, attempt);
+        };
+    auto engine =
+        std::make_unique<GatewayEngine>(cfg, *reconciler_, failing);
+    EXPECT_THROW(
+        {
+          try {
+            engine->run();
+          } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), "probe source failed");
+            throw;
+          }
+        },
+        std::runtime_error)
+        << threads << " lanes";
+    engine.reset();
   }
 }
 
