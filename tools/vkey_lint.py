@@ -27,15 +27,17 @@ iostream-in-lib
     table / json layers, never by printing. Benches, examples and tests are
     driver code and may print.
 
-raw-thread
-    No `std::thread` / `std::jthread` construction in library (`src/`) code
-    outside `common/parallel`. Ad-hoc threads bypass the determinism
-    contract (per-index purity, ordered reduction — DESIGN.md "Parallel
-    execution & determinism contract") and the pool's queue-depth/task
-    accounting; fan work out through `parallel::parallel_for` instead.
-    Qualified statics like `std::thread::hardware_concurrency()` are fine.
-    Tests, benches, examples and tools drive the library from outside and
-    may spawn threads.
+raw-threads
+    No `std::thread`, `std::jthread`, `std::async` or `pthread_create` in
+    library (`src/`) code outside `common/parallel.cpp`. Ad-hoc threads and
+    futures bypass the determinism contract (per-index purity, ordered
+    reduction, lane-invariant join points — DESIGN.md "Parallel execution &
+    determinism contract") and the pool's queue-depth/task accounting; fan
+    work out through `parallel::parallel_for`, or `parallel_for_async` to
+    overlap a batch with the caller's own work. Qualified statics like
+    `std::thread::hardware_concurrency()` are fine. Tests, benches,
+    examples and tools drive the library from outside and may spawn
+    threads.
 
 bounded-reader
     No raw byte parsing in the protocol layer (`src/protocol/`): no
@@ -126,9 +128,10 @@ ALLOWLIST = {
         ),
     },
     "src/common/parallel.cpp": {
-        "raw-thread": (
+        "raw-threads": (
             "the deterministic pool is the single sanctioned owner of "
-            "worker threads; everything else borrows lanes via parallel_for"
+            "worker threads; everything else borrows lanes via parallel_for "
+            "or parallel_for_async"
         ),
     },
     "src/protocol/wire.h": {
@@ -197,7 +200,7 @@ RULE_EXEMPT_DIRS = {
     "wall-clock": ("bench", "examples", "tools"),
     "unseeded-random": ("bench", "examples", "tools"),
     "iostream-in-lib": ("bench", "examples", "tests", "tools"),
-    "raw-thread": ("bench", "examples", "tests", "tools"),
+    "raw-threads": ("bench", "examples", "tests", "tools"),
 }
 
 WALL_CLOCK_PATTERNS = [
@@ -219,9 +222,14 @@ RANDOM_PATTERNS = [
     re.compile(r"#\s*include\s*<random>"),
 ]
 
-# `std::thread` / `std::jthread` as a type, but not qualified statics such
-# as `std::thread::hardware_concurrency()`.
-RAW_THREAD_PATTERN = re.compile(r"std\s*::\s*j?thread\b(?!\s*::)")
+# `std::thread` / `std::jthread` as a type (but not qualified statics such
+# as `std::thread::hardware_concurrency()`), `std::async` and
+# `pthread_create`.
+RAW_THREAD_PATTERNS = [
+    re.compile(r"std\s*::\s*j?thread\b(?!\s*::)"),
+    re.compile(r"std\s*::\s*async\b"),
+    re.compile(r"(?<![\w:])pthread_create\s*\("),
+]
 
 # Raw byte access in protocol code: type-punning casts and pointer
 # arithmetic off a buffer's .data(). Scoped to src/protocol/ (see
@@ -381,11 +389,11 @@ def scan_file(path, rel, explain):
                 check("unseeded-random", i, raw,
                       "randomness outside common/rng.h; seeded Rng only")
                 break
-        if RAW_THREAD_PATTERN.search(code):
-            check("raw-thread", i, raw,
-                  "raw std::thread in a library target; fan out through "
-                  "parallel::parallel_for (common/parallel) so the "
-                  "determinism contract holds")
+        if any(pat.search(code) for pat in RAW_THREAD_PATTERNS):
+            check("raw-threads", i, raw,
+                  "raw thread or future in a library target; fan out "
+                  "through parallel::parallel_for / parallel_for_async "
+                  "(common/parallel) so the determinism contract holds")
         if rel.startswith(BOUNDED_READER_SCOPE):
             for pat in BOUNDED_READER_PATTERNS:
                 if pat.search(code):
