@@ -208,15 +208,15 @@ class CapturingReporter : public benchmark::ConsoleReporter {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Split argv: the suite-wide flags (--json/--quick) go to BenchReport,
-  // everything else is handed to google-benchmark untouched.
+  // Split argv: the suite-wide flags (--json/--quick/--threads) go to
+  // BenchReport, everything else is handed to google-benchmark untouched.
   std::vector<char*> ours{argv[0]};
   std::vector<char*> gbench{argv[0]};
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--quick" || a == "--help") {
       ours.push_back(argv[i]);
-    } else if (a == "--json" && i + 1 < argc) {
+    } else if ((a == "--json" || a == "--threads") && i + 1 < argc) {
       ours.push_back(argv[i]);
       ours.push_back(argv[++i]);
     } else {

@@ -100,6 +100,7 @@ TEST(AllocStats, PublishMetricsExportsTheAllocGauges) {
   ASSERT_NE(gauges.find("alloc.frees"), nullptr);
   ASSERT_NE(gauges.find("alloc.bytes"), nullptr);
   ASSERT_NE(gauges.find("alloc.live_blocks"), nullptr);
+  ASSERT_NE(gauges.find("alloc.overflow_threads"), nullptr);
   // The published values are a snapshot no newer than `now`.
   EXPECT_LE(gauges.at("alloc.allocations").at("value").as_number(),
             static_cast<double>(now.allocations));
