@@ -3,13 +3,13 @@
 // Deliberately NOT part of vkey_common: replacing the global allocator is a
 // per-binary decision. The `vkey_alloc_hooks` OBJECT library carries exactly
 // this translation unit, and only the binaries that want exact heap
-// accounting (bench_soak, test_alloc_stats) link it — an archive would let
-// the linker skip the unreferenced replacement symbols, an object library
-// cannot be skipped. test_trace_alloc keeps its own private counting
-// allocator and must never link this one (duplicate definitions).
+// accounting (bench_soak, test_alloc_stats, test_trace_alloc) link it — an
+// archive would let the linker skip the unreferenced replacement symbols,
+// an object library cannot be skipped. It is the tree's one counting
+// allocator.
 //
-// Same operator set as test_trace_alloc: the plain and array forms plus the
-// sized deletes. Over-aligned and nothrow forms fall through to the default
+// The plain and array forms plus the sized deletes are replaced.
+// Over-aligned and nothrow forms fall through to the default
 // implementations and go uncounted — nothing in this tree allocates
 // over-aligned, and the accounting is for steady-state growth, not a malloc
 // ledger.

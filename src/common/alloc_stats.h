@@ -1,11 +1,11 @@
 // Library-level allocation accounting.
 //
-// Generalizes the counting-allocator technique from test_trace_alloc into a
-// reusable layer: binaries that want exact heap accounting additionally link
-// the `vkey_alloc_hooks` object library, whose global operator new/delete
-// replacements report every allocation here. Binaries that do not link the
-// hooks pay nothing — the counters simply never move and hooks_installed()
-// stays false, so callers can gate their assertions.
+// A counting allocator as a reusable layer: binaries that want exact heap
+// accounting additionally link the `vkey_alloc_hooks` object library, whose
+// global operator new/delete replacements report every allocation here.
+// Binaries that do not link the hooks pay nothing — the counters simply
+// never move and hooks_installed() stays false, so callers can gate their
+// assertions.
 //
 // What is counted:
 //   * allocations / frees — exact block counts (unsized delete is still one

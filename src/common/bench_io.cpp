@@ -62,7 +62,7 @@ BenchReport::BenchReport(std::string name, int argc, char** argv)
         std::exit(2);
       }
       trace_path_ = argv[++i];
-      // Span capture costs an allocation per named timer, so it is opt-in:
+      // Capture costs a lock per event and ring memory, so it is opt-in:
       // requesting an export turns the log on for this run.
       trace::TraceLog::global().set_enabled(true);
     } else if (arg == "--help" || arg == "-h") {

@@ -107,16 +107,16 @@ std::string escape(const std::string& s) {
 }
 
 std::string format_number(double v) {
+  char buf[40];
+  return std::string(buf, format_number(v, buf, buf + sizeof buf));
+}
+
+char* format_number(double v, char* first, char* last) {
   VKEY_REQUIRE(std::isfinite(v), "json numbers must be finite");
   if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    char buf[32];
-    const auto [p, ec] =
-        std::to_chars(buf, buf + sizeof buf, static_cast<std::int64_t>(v));
-    return std::string(buf, p);
+    return std::to_chars(first, last, static_cast<std::int64_t>(v)).ptr;
   }
-  char buf[40];
-  const auto [p, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, p);
+  return std::to_chars(first, last, v).ptr;
 }
 
 void Value::dump_to(std::string& out, int indent, int depth) const {

@@ -100,4 +100,8 @@ std::string escape(const std::string& s);
 /// never produce a document that downstream parsers reject.
 std::string format_number(double v);
 
+/// Same digits written into [first, last) without allocating; returns the
+/// end of the written text (a buffer of 40 chars always suffices).
+char* format_number(double v, char* first, char* last);
+
 }  // namespace vkey::json

@@ -9,6 +9,8 @@
 #include <unordered_map>
 #include <utility>
 
+#include "common/error.h"
+
 namespace vkey::trace {
 
 double wall_now_ms() {
@@ -30,6 +32,14 @@ namespace {
 std::mutex default_now_mu;
 NowFn default_now_fn;  // empty -> wall clock
 
+// Snapshot of the installed override (empty when the wall clock is the
+// default). Timers pin this at start so a concurrent set_default_now()
+// cannot change the time base mid-span.
+NowFn default_now_snapshot() {
+  std::lock_guard<std::mutex> lock(default_now_mu);
+  return default_now_fn;
+}
+
 // Per-thread ambient span context. `parent` is the innermost open span on
 // this thread (0 = none); `lane` is the execution-lane id (0 = a calling
 // thread, 1..N-1 = borrowed pool workers, installed via LaneScope).
@@ -47,30 +57,9 @@ void set_default_now(NowFn now) {
   default_now_fn = std::move(now);
 }
 
-NowFn default_now_snapshot() {
-  std::lock_guard<std::mutex> lock(default_now_mu);
-  return default_now_fn;
-}
-
 double default_now_ms() {
   NowFn fn = default_now_snapshot();
   return fn ? fn() : wall_now_ms();
-}
-
-std::string to_string(Domain d) {
-  return d == Domain::kVirtual ? "virtual" : "wall";
-}
-
-json::Value Attr::to_json() const {
-  switch (kind) {
-    case Kind::kInt:
-      return json::Value(i);
-    case Kind::kDouble:
-      return json::Value(d);
-    case Kind::kString:
-      break;
-  }
-  return json::Value(s);
 }
 
 std::uint64_t current_parent() noexcept { return tls_ctx.parent; }
@@ -100,145 +89,91 @@ TraceLog::TraceLog() {
                                 std::strcmp(env, "true") == 0);
 }
 
-void TraceLog::set_capacity(std::size_t n) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Linearize survivors (newest `n`) into a fresh buffer so the ring
-  // invariant — growing phase has head_ == 0 and ring_.size() == count_ —
-  // holds again after any shrink/grow.
-  const std::size_t keep = count_ < n ? count_ : n;
-  const std::size_t skip = count_ - keep;
-  dropped_ += skip;
-  std::vector<Span> lin;
-  lin.reserve(keep);
-  for (std::size_t k = skip; k < count_; ++k) {
-    lin.push_back(std::move(ring_[(head_ + k) % ring_.size()]));
+void EventRing::push(const Event& ev) {
+  if (buf_.size() < capacity_) {
+    buf_.push_back(ev);
+    return;
   }
-  ring_ = std::move(lin);
+  ++dropped_;
+  if (capacity_ == 0) return;
+  buf_[head_] = ev;
+  head_ = (head_ + 1) % capacity_;
+}
+
+void EventRing::set_capacity(std::size_t n) {
+  // Linearize the newest `n` survivors so the ring invariant — a growing
+  // ring has head_ == 0 — holds again after any shrink or grow.
+  const std::vector<Event> all = events();
+  const std::size_t skip = all.size() - std::min(all.size(), n);
+  buf_.assign(all.begin() + static_cast<std::ptrdiff_t>(skip), all.end());
+  dropped_ += skip;
   head_ = 0;
-  count_ = keep;
   capacity_ = n;
 }
 
-void TraceLog::push_locked(Span&& span) {
-  if (capacity_ == 0) {
-    ++dropped_;
-    return;
-  }
-  if (count_ < capacity_) {
-    ring_.push_back(std::move(span));
-    ++count_;
-  } else {
-    ring_[head_] = std::move(span);
-    head_ = (head_ + 1) % capacity_;
-    ++dropped_;
-  }
+void EventRing::clear() noexcept {
+  buf_.clear();
+  head_ = 0;
+  dropped_ = 0;
 }
 
-void TraceLog::record(Span span) {
-  if (span.id == 0) span.id = next_id();
-  std::lock_guard<std::mutex> lock(mu_);
-  push_locked(std::move(span));
+std::vector<Event> EventRing::events() const {
+  std::vector<Event> out;
+  out.reserve(buf_.size());
+  for (std::size_t k = 0; k < buf_.size(); ++k) out.push_back(at(k));
+  return out;
 }
 
-void TraceLog::record(const std::string& name, double start_ms,
-                      double duration_ms) {
-  Span s;
-  s.name = name;
-  s.start_ms = start_ms;
-  s.duration_ms = duration_ms;
-  s.id = next_id();
-  s.parent = tls_ctx.parent;
-  s.lane = tls_ctx.lane;
+void TraceLog::set_capacity(std::size_t n) {
   std::lock_guard<std::mutex> lock(mu_);
-  push_locked(std::move(s));
+  wall_.set_capacity(n);
+  virtual_.set_capacity(n);
 }
 
-void TraceLog::instant(std::string name, double t_ms, Domain domain,
-                       std::vector<Attr> attrs) {
-  if (!enabled()) return;
-  Span s;
-  s.name = std::move(name);
-  s.start_ms = t_ms;
-  s.id = next_id();
-  s.parent = tls_ctx.parent;
-  s.lane = tls_ctx.lane;
-  s.domain = domain;
-  s.instant = true;
-  s.attrs = std::move(attrs);
+void TraceLog::record(Event ev) {
+  if (ev.id == 0) ev.id = next_id();
   std::lock_guard<std::mutex> lock(mu_);
-  push_locked(std::move(s));
+  (ev.domain == Domain::kVirtual ? virtual_ : wall_).push(ev);
 }
 
-std::vector<Span> TraceLog::spans() const {
+std::vector<Event> TraceLog::events() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::vector<Span> out;
-  out.reserve(count_);
-  for (std::size_t k = 0; k < count_; ++k) {
-    out.push_back(ring_[(head_ + k) % ring_.size()]);
-  }
+  std::vector<Event> out = wall_.events();
+  const std::vector<Event> virt = virtual_.events();
+  out.insert(out.end(), virt.begin(), virt.end());
   return out;
 }
 
 std::size_t TraceLog::dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
+  return wall_.dropped() + virtual_.dropped();
 }
 
 void TraceLog::clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-  head_ = 0;
-  count_ = 0;
-  dropped_ = 0;
-}
-
-json::Value TraceLog::snapshot() const {
-  const std::vector<Span> all = spans();
-  json::Value root = json::Value::object();
-  json::Value arr = json::Value::array();
-  for (const Span& s : all) {
-    json::Value e = json::Value::object();
-    e.set("name", json::Value(s.name));
-    e.set("start_ms", json::Value(s.start_ms));
-    e.set("dur_ms", json::Value(s.duration_ms));
-    e.set("id", json::Value(s.id));
-    e.set("parent", json::Value(s.parent));
-    e.set("lane", json::Value(s.lane));
-    e.set("domain", json::Value(to_string(s.domain)));
-    if (s.instant) e.set("instant", json::Value(true));
-    if (!s.attrs.empty()) {
-      json::Value a = json::Value::object();
-      for (const Attr& at : s.attrs) a.set(at.key, at.to_json());
-      e.set("attrs", std::move(a));
-    }
-    arr.push_back(std::move(e));
-  }
-  root.set("spans", std::move(arr));
-  root.set("dropped", json::Value(dropped()));
-  return root;
+  wall_.clear();
+  virtual_.clear();
 }
 
 json::Value TraceLog::chrome_trace(bool virtual_only) const {
-  std::vector<Span> all;
+  std::vector<Event> all;
   std::size_t dropped_count = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    all.reserve(count_);
-    for (std::size_t k = 0; k < count_; ++k) {
-      all.push_back(ring_[(head_ + k) % ring_.size()]);
+    all = virtual_.events();
+    dropped_count = virtual_.dropped();
+    if (!virtual_only) {
+      const std::vector<Event> wall = wall_.events();
+      all.insert(all.end(), wall.begin(), wall.end());
+      dropped_count += wall_.dropped();
     }
-    dropped_count = dropped_;
-  }
-  if (virtual_only) {
-    std::erase_if(all,
-                  [](const Span& s) { return s.domain != Domain::kVirtual; });
   }
   // Canonical order: (start_ms, id). Ids are handed out in start order, so
   // this is a total order independent of the stop/record interleaving —
   // the property that makes a virtual-only export byte-identical across
   // worker-lane counts.
-  std::sort(all.begin(), all.end(), [](const Span& a, const Span& b) {
-    if (a.start_ms != b.start_ms) return a.start_ms < b.start_ms;
+  std::sort(all.begin(), all.end(), [](const Event& a, const Event& b) {
+    if (a.t_ms != b.t_ms) return a.t_ms < b.t_ms;
     return a.id < b.id;
   });
   // Remap process-unique ids to dense indices so the export never leaks
@@ -249,13 +184,14 @@ json::Value TraceLog::chrome_trace(bool virtual_only) const {
 
   json::Value events = json::Value::array();
   for (std::size_t i = 0; i < all.size(); ++i) {
-    const Span& s = all[i];
+    const Event& s = all[i];
     json::Value e = json::Value::object();
     e.set("name", json::Value(s.name));
-    e.set("cat", json::Value(to_string(s.domain)));
+    e.set("cat", json::Value(s.domain == Domain::kVirtual ? "virtual"
+                                                         : "wall"));
     e.set("ph", json::Value(s.instant ? "i" : "X"));
-    e.set("ts", json::Value(s.start_ms * 1000.0));  // trace-event ts is µs
-    if (!s.instant) e.set("dur", json::Value(s.duration_ms * 1000.0));
+    e.set("ts", json::Value(s.t_ms * 1000.0));  // trace-event ts is µs
+    if (!s.instant) e.set("dur", json::Value(s.dur_ms * 1000.0));
     e.set("pid", json::Value(0));
     e.set("tid", json::Value(s.lane));
     if (s.instant) e.set("s", json::Value("t"));
@@ -265,7 +201,15 @@ json::Value TraceLog::chrome_trace(bool virtual_only) const {
     // simply absent: the span exports as a root rather than dangling.
     const auto it = s.parent != 0 ? dense.find(s.parent) : dense.end();
     if (it != dense.end()) args.set("parent", json::Value(it->second));
-    for (const Attr& at : s.attrs) args.set(at.key, at.to_json());
+    if (s.actor != nullptr) {
+      args.set("actor", json::Value(s.actor));
+      if (s.detail[0] != '\0') args.set("detail", json::Value(s.detail));
+      if (s.session != 0) args.set("session", json::Value(s.session));
+      args.set("nonce", json::Value(s.nonce));
+    }
+    for (std::uint8_t a = 0; a < s.n_attrs; ++a) {
+      args.set(s.attrs[a].key, json::Value(s.attrs[a].value));
+    }
     e.set("args", std::move(args));
     events.push_back(std::move(e));
   }
@@ -286,67 +230,69 @@ bool TraceLog::write_chrome_trace(const std::string& path,
     std::fprintf(stderr, "trace: cannot open %s for writing\n", path.c_str());
     return false;
   }
-  out << chrome_trace(virtual_only).dump(0) << '\n';
+  const json::Value doc = chrome_trace(virtual_only);
+  const auto dropped_count = static_cast<std::size_t>(
+      doc.at("otherData").at("dropped").as_number());
+  if (dropped_count > 0) {
+    std::fprintf(stderr,
+                 "trace: %s lacks %zu event(s) dropped by a full ring\n",
+                 path.c_str(), dropped_count);
+  }
+  out << doc.dump(0) << '\n';
   return out.good();
 }
 
-ScopedTimer::ScopedTimer(metrics::Histogram& hist, std::string_view name)
+ScopedTimer::ScopedTimer(metrics::Histogram& hist, const char* name)
     : hist_(&hist) {
   begin(name, /*explicit_clock=*/false);
 }
 
 ScopedTimer::ScopedTimer(metrics::Histogram& hist, NowFn now,
-                         std::string_view name)
+                         const char* name)
     : hist_(&hist), now_(std::move(now)) {
   begin(name, /*explicit_clock=*/static_cast<bool>(now_));
 }
 
-void ScopedTimer::begin(std::string_view name, bool explicit_clock) {
-  if (!metrics::enabled()) return;  // no clock read, no allocation
+void ScopedTimer::begin(const char* name, bool explicit_clock) {
+  if (!metrics::enabled()) return;  // no clock read
   if (explicit_clock) {
     // Every explicit NowFn in this tree is a SimClock (or test) virtual
     // time base; wall-clock callers use the default clock.
-    domain_ = Domain::kVirtual;
+    span_.domain = Domain::kVirtual;
   } else {
     // Pin the default override once so a concurrent set_default_now()
     // cannot change the time base between start and stop.
     now_ = default_now_snapshot();
-    domain_ = now_ ? Domain::kVirtual : Domain::kWall;
+    span_.domain = now_ ? Domain::kVirtual : Domain::kWall;
   }
-  start_ms_ = now_ ? now_() : wall_now_ms();
+  span_.t_ms = now_ ? now_() : wall_now_ms();
   running_ = true;
   TraceLog& log = TraceLog::global();
-  if (!name.empty() && log.enabled()) {
-    id_ = log.next_id();
-    name_.assign(name);
-    lane_ = tls_ctx.lane;
-    prev_parent_ = tls_ctx.parent;
-    tls_ctx.parent = id_;  // children opened in this scope nest under us
+  if (name != nullptr && name[0] != '\0' && log.enabled()) {
+    span_.id = log.next_id();
+    span_.name = name;
+    span_.lane = tls_ctx.lane;
+    span_.parent = tls_ctx.parent;
+    tls_ctx.parent = span_.id;  // children opened in this scope nest under us
   }
+}
+
+void ScopedTimer::add_attr(const char* key, double value) {
+  VKEY_REQUIRE(span_.n_attrs < Event::kMaxAttrs, "too many span attributes");
+  span_.attrs[span_.n_attrs++] = Attr{key, value};
 }
 
 double ScopedTimer::stop() {
   if (!running_) return 0.0;
   running_ = false;
-  const double elapsed = (now_ ? now_() : wall_now_ms()) - start_ms_;
-  hist_->observe(elapsed);
-  if (id_ != 0) {
-    tls_ctx.parent = prev_parent_;
+  span_.dur_ms = (now_ ? now_() : wall_now_ms()) - span_.t_ms;
+  hist_->observe(span_.dur_ms);
+  if (span_.id != 0) {
+    tls_ctx.parent = span_.parent;
     TraceLog& log = TraceLog::global();
-    if (log.enabled()) {
-      Span s;
-      s.name = std::move(name_);
-      s.start_ms = start_ms_;
-      s.duration_ms = elapsed;
-      s.id = id_;
-      s.parent = prev_parent_;
-      s.lane = lane_;
-      s.domain = domain_;
-      s.attrs = std::move(attrs_);
-      log.record(std::move(s));
-    }
+    if (log.enabled()) log.record(span_);
   }
-  return elapsed;
+  return span_.dur_ms;
 }
 
 ScopedTimer::~ScopedTimer() { stop(); }

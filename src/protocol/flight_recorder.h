@@ -1,71 +1,80 @@
 // Per-session flight recorder: a bounded ring of protocol events stamped
 // with SimClock virtual time.
 //
-// The metrics layer (PR 2) answers aggregate questions — how many frames
-// were dropped across a bench run — but cannot explain why ONE session
-// failed: which injected fault hit which frame, what the ARQ did about it,
-// and how the state machines reacted. The flight recorder is that causal
-// timeline. The reliability supervisor creates one per attempt and hands it
+// Metrics answer aggregate questions — how many frames were dropped across
+// a bench run — but not why ONE session failed: which injected fault hit
+// which frame, what the ARQ did about it, how the state machines reacted.
+// The reliability supervisor creates one recorder per attempt and hands it
 // to the link, both transports and both sessions; every layer appends its
-// events (frame tx/rx, drop/reorder/dup/corrupt injections, retransmits and
-// backoff arming, InboundGuard rejections, session state transitions), and
-// the recorder travels with the AttemptReport so a failed — or fuzzed —
-// session can dump its full history next to its FailureReason.
+// events, and the recorder travels with the AttemptReport so a failed — or
+// fuzzed — session can dump its full history next to its FailureReason.
 //
 // Determinism: events are stamped from the attempt's SimClock (virtual ms)
-// and carry a per-recorder insertion ordinal `seq`, so dump() and to_json()
-// are byte-identical for identical seeds and independent of host timing or
-// worker-lane count. Without a clock (harness/fuzz use) the ordinal itself
-// is the timestamp, which keeps ordering visible and deterministic. The
-// ring is single-writer by design — the protocol stack runs inside one
-// SimClock event loop — so there is no lock.
+// and carry a per-recorder insertion ordinal (Event::id), so dump() is
+// byte-identical for identical seeds and any worker-lane count. Without a
+// clock (harness/fuzz use) the ordinal is the timestamp. The ring is
+// single-writer — the protocol stack runs inside one SimClock event loop.
 //
-// When the global TraceLog is enabled each event is mirrored as a
-// virtual-domain instant span ("flight.<kind>"), so `vkey_sim --trace-out`
-// interleaves link-level events with the reliability spans in Perfetto.
+// Events are trace::Event records in a trace::EventRing. The detail comes
+// as a FlightDetail (a static format plus typed values) and is formatted
+// into the record only when the event is kept: a capacity-0 recorder with
+// the TraceLog off counts the event and returns without formatting or
+// allocating. With the TraceLog enabled each event is also pushed, as the
+// same record, into its virtual ring ("flight.<kind>" instants).
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
-#include "common/json.h"
 #include "common/trace.h"
 
 namespace vkey::protocol {
 
-enum class FlightEventKind : std::uint8_t {
-  kAttemptStart,  ///< supervisor opened a session attempt
-  kAttemptEnd,    ///< attempt terminated (detail: outcome / failure reason)
-  kFrameTx,       ///< frame handed to the link by an endpoint
-  kFrameRx,       ///< frame delivered to the far endpoint
-  kDrop,          ///< fault injector lost the frame
-  kCorrupt,       ///< fault injector flipped bits (frame still parsed)
-  kCrcLost,       ///< corruption beyond parsing; radio CRC discarded it
-  kWireReject,    ///< frame codec rejected the bytes (detail: WireError)
-  kReorder,       ///< fault injector added reordering delay
-  kDuplicate,     ///< fault injector scheduled an echo copy
-  kRetransmit,    ///< ARQ resent a frame (detail: "timeout ..." or "fast")
-  kBackoff,       ///< ARQ armed a retransmission timer (detail: delay)
-  kAckTx,         ///< transport acknowledged an accepted frame
-  kAckRx,         ///< transport consumed an ack for an in-flight frame
-  kStaleAck,      ///< ack for a frame not (or no longer) in flight
-  kGaveUp,        ///< retry budget exhausted; the attempt is dead
-  kReject,        ///< session rejected a frame (detail: RejectReason)
-  kStateChange,   ///< session state transition (detail: "from->to")
-  kInjected,      ///< harness-injected fault (fuzz tests name theirs here)
-};
+using trace::FlightEventKind;
 
-std::string to_string(FlightEventKind k);
+/// Kind-specific context of a flight event, kept unformatted: a static
+/// format whose "{}" placeholders take up to three typed values (integers,
+/// doubles in json::format_number digits, static strings). Plain text
+/// (a literal or a caller's std::string) is the zero-value case. A
+/// FlightDetail only refers to its text, so it must not outlive the
+/// record() call it is passed to.
+class FlightDetail {
+ public:
+  FlightDetail() = default;
+  FlightDetail(const char* text) : fmt_(text) {}
+  FlightDetail(const std::string& text) : fmt_(text) {}
+  template <typename... Ts>
+    requires(sizeof...(Ts) >= 1 && sizeof...(Ts) <= 3)
+  FlightDetail(const char* fmt, Ts... values)
+      : fmt_(fmt), n_(sizeof...(Ts)), values_{make(values)...} {}
 
-struct FlightEvent {
-  double t_ms = 0.0;       ///< virtual time; the ordinal when no clock is set
-  std::uint64_t seq = 0;   ///< per-recorder insertion ordinal (0-based)
-  FlightEventKind kind = FlightEventKind::kAttemptStart;
-  std::string actor;       ///< "alice" | "bob" | "link" | "supervisor" | ...
-  std::string detail;      ///< kind-specific context, may be empty
-  std::uint64_t session_id = 0;
-  std::uint64_t nonce = 0;
+  /// Write the text into `out` (NUL-terminated, cut to fit).
+  void format(char (&out)[trace::Event::kDetailBytes]) const;
+
+ private:
+  struct Value {
+    enum class Type : std::uint8_t { kInt, kDouble, kText } type;
+    std::int64_t i;
+    double d;
+    const char* s;
+  };
+  template <typename T>
+  static Value make(T v) {
+    if constexpr (std::is_integral_v<T>) {
+      return {Value::Type::kInt, static_cast<std::int64_t>(v), 0.0, nullptr};
+    } else if constexpr (std::is_floating_point_v<T>) {
+      return {Value::Type::kDouble, 0, v, nullptr};
+    } else {
+      return {Value::Type::kText, 0, 0.0, v};
+    }
+  }
+
+  std::string_view fmt_;
+  std::size_t n_ = 0;
+  Value values_[3] = {};
 };
 
 /// Bounded single-writer event ring (oldest events drop first).
@@ -77,16 +86,18 @@ class FlightRecorder {
   /// owner clears it). Events already recorded keep their stamps.
   void set_now(trace::NowFn now) { now_ = std::move(now); }
 
-  std::size_t capacity() const noexcept { return capacity_; }
-  std::size_t size() const noexcept { return count_; }
-  std::size_t dropped() const noexcept { return dropped_; }
+  std::size_t capacity() const noexcept { return ring_.capacity(); }
+  std::size_t size() const noexcept { return ring_.size(); }
+  std::size_t dropped() const noexcept { return ring_.dropped(); }
   std::uint64_t total() const noexcept { return next_seq_; }
 
-  void record(FlightEventKind kind, std::string actor, std::string detail = {},
-              std::uint64_t session_id = 0, std::uint64_t nonce = 0);
+  /// `actor` is a static name ("alice", "bob", "link", "supervisor", ...).
+  void record(FlightEventKind kind, const char* actor,
+              const FlightDetail& detail = {}, std::uint64_t session_id = 0,
+              std::uint64_t nonce = 0);
 
   /// Events oldest -> newest.
-  std::vector<FlightEvent> events() const;
+  std::vector<trace::Event> events() const { return ring_.events(); }
 
   void clear();
 
@@ -95,17 +106,9 @@ class FlightRecorder {
   /// Byte-identical for identical event sequences (virtual stamps only).
   std::string dump() const;
 
-  /// {"events": [{t_ms, seq, kind, actor, detail, session, nonce}...],
-  ///  "dropped": n, "total": n}
-  json::Value to_json() const;
-
  private:
   trace::NowFn now_;
-  std::size_t capacity_;
-  std::vector<FlightEvent> ring_;
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
-  std::size_t dropped_ = 0;
+  trace::EventRing ring_;
   std::uint64_t next_seq_ = 0;
 };
 

@@ -16,7 +16,9 @@ void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
 
 }  // namespace
 
-std::string to_string(MessageType t) {
+std::string to_string(MessageType t) { return label(t); }
+
+const char* label(MessageType t) {
   switch (t) {
     case MessageType::kKeyGenRequest: return "key-gen-request";
     case MessageType::kKeyGenAccept: return "key-gen-accept";

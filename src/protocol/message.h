@@ -45,6 +45,8 @@ inline constexpr std::size_t kMaxMacBytes = 64;
 /// Short wire name ("key-gen-request", "ack", ...) for logs and the
 /// flight recorder.
 std::string to_string(MessageType t);
+/// Same text as to_string(), static: flight-event details use it.
+const char* label(MessageType t);
 
 struct Message {
   MessageType type = MessageType::kKeyGenRequest;

@@ -70,7 +70,9 @@ std::string AgreementReport::failure_dump(std::size_t max_attempts) const {
   return dumped ? out : std::string{};
 }
 
-std::string to_string(FailureReason r) {
+std::string to_string(FailureReason r) { return label(r); }
+
+const char* label(FailureReason r) {
   switch (r) {
     case FailureReason::kNone: return "none";
     case FailureReason::kRetryExhausted: return "retry-exhausted";
@@ -134,7 +136,7 @@ AgreementReport run_reliable_key_agreement_on(
     FlightRecorder flight(config.flight_capacity,
                           [&clock] { return clock.now_ms(); });
     flight.record(FlightEventKind::kAttemptStart, "supervisor",
-                  "attempt=" + std::to_string(attempt + 1), scfg.session_id);
+                  {"attempt={}", attempt + 1}, scfg.session_id);
     link.set_recorder(&flight);
     alice.set_recorder(&flight, "alice");
     bob.set_recorder(&flight, "bob");
@@ -240,7 +242,7 @@ AgreementReport run_reliable_key_agreement_on(
                                              bob_tx.exhausted(),
                                          timed_out);
     flight.record(FlightEventKind::kAttemptEnd, "supervisor",
-                  att.established ? "established" : to_string(att.failure),
+                  att.established ? "established" : label(att.failure),
                   scfg.session_id);
     // The recorder travels with the report; its NowFn points at the
     // caller's clock, so detach it before the attempt scope closes.

@@ -38,6 +38,8 @@ enum class FailureReason : std::uint8_t {
 };
 
 std::string to_string(FailureReason r);
+/// Same text as to_string(), static: flight-event details use it.
+const char* label(FailureReason r);
 
 struct ReliabilityConfig {
   FaultConfig fault;

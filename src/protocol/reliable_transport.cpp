@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "common/json.h"
 #include "protocol/flight_recorder.h"
 #include "protocol/instruments.h"
 
@@ -39,9 +38,9 @@ void ReliableTransport::set_upcall(UpcallFn upcall, AckGateFn ack_gate) {
 }
 
 void ReliableTransport::set_recorder(FlightRecorder* recorder,
-                                     std::string actor) {
+                                     const char* actor) {
   recorder_ = recorder;
-  actor_ = std::move(actor);
+  actor_ = actor;
 }
 
 void ReliableTransport::arm_timer(std::uint64_t nonce) {
@@ -51,8 +50,7 @@ void ReliableTransport::arm_timer(std::uint64_t nonce) {
   const double timeout = rtt_(entry.msg) + backoff;
   if (recorder_ != nullptr) {
     recorder_->record(FlightEventKind::kBackoff, actor_,
-                      "attempt=" + std::to_string(entry.attempt) +
-                          " delay_ms=" + json::format_number(timeout),
+                      {"attempt={} delay_ms={}", entry.attempt, timeout},
                       entry.msg.session_id, nonce);
   }
   entry.timer = clock_.schedule(timeout, [this, nonce] { on_timeout(nonce); });
@@ -66,8 +64,8 @@ void ReliableTransport::on_timeout(std::uint64_t nonce) {
     instruments().arq.gave_up.add(1);
     if (recorder_ != nullptr) {
       recorder_->record(FlightEventKind::kGaveUp, actor_,
-                        to_string(it->second.msg.type) + " after " +
-                            std::to_string(cfg_.max_retries) + " retries",
+                        {"{} after {} retries", label(it->second.msg.type),
+                         cfg_.max_retries},
                         it->second.msg.session_id, nonce);
     }
     exhausted_ = true;
@@ -80,7 +78,7 @@ void ReliableTransport::on_timeout(std::uint64_t nonce) {
   instruments().arq.retransmissions.add(1);
   if (recorder_ != nullptr) {
     recorder_->record(FlightEventKind::kRetransmit, actor_,
-                      "timeout attempt=" + std::to_string(it->second.attempt),
+                      {"timeout attempt={}", it->second.attempt},
                       it->second.msg.session_id, nonce);
   }
   wire_(it->second.msg);
@@ -146,7 +144,7 @@ void ReliableTransport::on_wire(const Message& msg) {
     instruments().arq.acks_sent.add(1);
     if (recorder_ != nullptr) {
       recorder_->record(FlightEventKind::kAckTx, actor_,
-                        "for " + to_string(msg.type), msg.session_id,
+                        {"for {}", label(msg.type)}, msg.session_id,
                         msg.nonce);
     }
   }

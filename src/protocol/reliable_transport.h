@@ -78,10 +78,10 @@ class ReliableTransport {
 
   void set_upcall(UpcallFn upcall, AckGateFn ack_gate);
 
-  /// Attach a flight recorder; `actor` names this endpoint in the timeline
-  /// ("alice"/"bob"). Retransmissions, backoff arming, ack traffic and
-  /// exhaustion are logged. Pass nullptr to detach.
-  void set_recorder(FlightRecorder* recorder, std::string actor);
+  /// Attach a flight recorder; the static name `actor` names this endpoint
+  /// in the timeline ("alice"/"bob"). Retransmissions, backoff arming, ack
+  /// traffic and exhaustion are logged. Pass nullptr to detach.
+  void set_recorder(FlightRecorder* recorder, const char* actor);
 
   /// Reliable send: transmit now and retransmit on timeout until acked or
   /// the retry budget is exhausted. Re-sending a frame already in flight
@@ -120,7 +120,7 @@ class ReliableTransport {
   TransportStats stats_;
   bool exhausted_ = false;
   FlightRecorder* recorder_ = nullptr;
-  std::string actor_;
+  const char* actor_ = nullptr;
 };
 
 }  // namespace vkey::protocol

@@ -49,25 +49,27 @@ std::vector<std::uint8_t> confirm_digest(const BitVec& final_key,
 // Shared flight-recorder bookkeeping for both session roles: one kReject
 // per rejected frame (reason + offending message type) and one
 // kStateChange per transition, e.g. "await-syndrome->failed".
-void note_outcome(FlightRecorder* recorder, const std::string& actor,
+void note_outcome(FlightRecorder* recorder, const char* actor,
                   SessionState before, SessionState after, RejectReason reject,
                   const Message& msg) {
   if (recorder == nullptr) return;
   if (reject != RejectReason::kNone) {
     recorder->record(FlightEventKind::kReject, actor,
-                     to_string(reject) + " on " + to_string(msg.type),
+                     {"{} on {}", label(reject), label(msg.type)},
                      msg.session_id, msg.nonce);
   }
   if (after != before) {
     recorder->record(FlightEventKind::kStateChange, actor,
-                     to_string(before) + "->" + to_string(after),
-                     msg.session_id, msg.nonce);
+                     {"{}->{}", label(before), label(after)}, msg.session_id,
+                     msg.nonce);
   }
 }
 
 }  // namespace
 
-std::string to_string(SessionState s) {
+std::string to_string(SessionState s) { return label(s); }
+
+const char* label(SessionState s) {
   switch (s) {
     case SessionState::kIdle: return "idle";
     case SessionState::kAwaitAccept: return "await-accept";
@@ -80,7 +82,9 @@ std::string to_string(SessionState s) {
   return "?";
 }
 
-std::string to_string(RejectReason r) {
+std::string to_string(RejectReason r) { return label(r); }
+
+const char* label(RejectReason r) {
   switch (r) {
     case RejectReason::kNone: return "none";
     case RejectReason::kBadSession: return "bad-session";
@@ -174,9 +178,9 @@ std::optional<Message> BobSession::handle(const Message& msg) {
   return response;
 }
 
-void BobSession::set_recorder(FlightRecorder* recorder, std::string actor) {
+void BobSession::set_recorder(FlightRecorder* recorder, const char* actor) {
   recorder_ = recorder;
-  actor_ = std::move(actor);
+  actor_ = actor;
 }
 
 std::optional<Message> BobSession::dispatch(const Message& msg) {
@@ -258,9 +262,9 @@ Message AliceSession::start() {
   return req;
 }
 
-void AliceSession::set_recorder(FlightRecorder* recorder, std::string actor) {
+void AliceSession::set_recorder(FlightRecorder* recorder, const char* actor) {
   recorder_ = recorder;
-  actor_ = std::move(actor);
+  actor_ = actor;
 }
 
 const BitVec& AliceSession::final_key() const {

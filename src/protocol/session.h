@@ -57,6 +57,9 @@ enum class RejectReason : std::uint8_t {
 
 std::string to_string(SessionState s);
 std::string to_string(RejectReason r);
+/// Same texts as to_string(), static: flight-event details use them.
+const char* label(SessionState s);
+const char* label(RejectReason r);
 
 struct SessionConfig {
   std::uint64_t session_id = 1;
@@ -113,8 +116,9 @@ class BobSession {
   std::optional<Message> handle(const Message& msg);
 
   /// Attach a flight recorder; state transitions and InboundGuard
-  /// rejections are logged under `actor`. Pass nullptr to detach.
-  void set_recorder(FlightRecorder* recorder, std::string actor);
+  /// rejections are logged under the static name `actor`. Pass nullptr to
+  /// detach.
+  void set_recorder(FlightRecorder* recorder, const char* actor);
 
   /// Build the syndrome message { y_Bob, MAC(K_Bob, header||y_Bob) }.
   /// Valid once the session has been accepted (state kAwaitConfirm).
@@ -146,7 +150,7 @@ class BobSession {
   std::uint64_t next_nonce_ = 0;
   InboundGuard guard_;
   FlightRecorder* recorder_ = nullptr;
-  std::string actor_;
+  const char* actor_ = nullptr;
 };
 
 class AliceSession {
@@ -160,8 +164,9 @@ class AliceSession {
   std::optional<Message> handle(const Message& msg);
 
   /// Attach a flight recorder; state transitions and InboundGuard
-  /// rejections are logged under `actor`. Pass nullptr to detach.
-  void set_recorder(FlightRecorder* recorder, std::string actor);
+  /// rejections are logged under the static name `actor`. Pass nullptr to
+  /// detach.
+  void set_recorder(FlightRecorder* recorder, const char* actor);
 
   SessionState state() const { return state_; }
   RejectReason last_reject() const { return last_reject_; }
@@ -188,7 +193,7 @@ class AliceSession {
   std::uint64_t next_nonce_ = 0;
   InboundGuard guard_;
   FlightRecorder* recorder_ = nullptr;
-  std::string actor_;
+  const char* actor_ = nullptr;
 };
 
 /// Structured outcome of driving a key agreement to termination.

@@ -1,7 +1,6 @@
 #include "protocol/unreliable_channel.h"
 
 #include "common/error.h"
-#include "common/json.h"
 #include "common/metrics.h"
 #include "protocol/flight_recorder.h"
 #include "protocol/instruments.h"
@@ -58,7 +57,7 @@ void UnreliableChannel::deliver(Endpoint to, const Message& msg,
     ++stats_.delivered;
     if (recorder_ != nullptr) {
       recorder_->record(FlightEventKind::kFrameRx, endpoint_name(to),
-                        to_string(msg.type), msg.session_id, msg.nonce);
+                        label(msg.type), msg.session_id, msg.nonce);
     }
     handlers_[static_cast<int>(to)](msg);
   });
@@ -73,7 +72,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
   instruments().link.sent.add(1);
   if (recorder_ != nullptr) {
     recorder_->record(FlightEventKind::kFrameTx, endpoint_name(from),
-                      to_string(msg.type), msg.session_id, msg.nonce);
+                      label(msg.type), msg.session_id, msg.nonce);
   }
   if (metrics::enabled()) {
     // Airtime is spent by the transmitter whether or not the frame
@@ -95,7 +94,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
     ++stats_.dropped;
     instruments().link.dropped.add(1);
     if (recorder_ != nullptr) {
-      recorder_->record(FlightEventKind::kDrop, "link", to_string(msg.type),
+      recorder_->record(FlightEventKind::kDrop, "link", label(msg.type),
                         msg.session_id, msg.nonce);
     }
     return;
@@ -121,16 +120,15 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
       instruments().link.crc_lost.add(1);
       if (recorder_ != nullptr) {
         recorder_->record(FlightEventKind::kWireReject, "link",
-                          wire::to_string(err) + " on " + to_string(msg.type) +
-                              " flips=" + std::to_string(flips),
+                          {"{} on {} flips={}", wire::label(err),
+                           label(msg.type), flips},
                           msg.session_id, msg.nonce);
       }
       return;
     }
     if (recorder_ != nullptr) {
       recorder_->record(FlightEventKind::kCorrupt, "link",
-                        to_string(msg.type) + " flips=" +
-                            std::to_string(flips),
+                        {"{} flips={}", label(msg.type), flips},
                         msg.session_id, msg.nonce);
     }
     in_flight = std::move(reparsed);
@@ -144,8 +142,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
     delay += extra;
     if (recorder_ != nullptr) {
       recorder_->record(FlightEventKind::kReorder, "link",
-                        to_string(msg.type) + " extra_ms=" +
-                            json::format_number(extra),
+                        {"{} extra_ms={}", label(msg.type), extra},
                         msg.session_id, msg.nonce);
     }
   }
@@ -156,7 +153,7 @@ void UnreliableChannel::send(Endpoint from, const Message& msg) {
     instruments().link.duplicated.add(1);
     if (recorder_ != nullptr) {
       recorder_->record(FlightEventKind::kDuplicate, "link",
-                        to_string(msg.type), msg.session_id, msg.nonce);
+                        label(msg.type), msg.session_id, msg.nonce);
     }
     deliver(to, *in_flight, delay + faults_.dup_delay_ms);
   }

@@ -29,7 +29,9 @@ std::optional<Message> reject(WireError e, WireError* error) {
 
 }  // namespace
 
-std::string to_string(WireError e) {
+std::string to_string(WireError e) { return label(e); }
+
+const char* label(WireError e) {
   switch (e) {
     case WireError::kNone: return "none";
     case WireError::kTruncated: return "truncated";

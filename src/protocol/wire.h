@@ -70,6 +70,8 @@ enum class WireError : std::uint8_t {
 /// ("truncated", "magic", "version", "payload-len", "mac-len", "trailing",
 /// "crc", "type").
 std::string to_string(WireError e);
+/// Same text as to_string(), static: flight-event details use it.
+const char* label(WireError e);
 
 /// IEEE 802.3 CRC-32 (reflected, poly 0xEDB88320), the same polynomial the
 /// LoRa PHY uses for its payload CRC.

@@ -156,9 +156,14 @@ TEST(ConcurrencyStress, TraceLogWraparoundUnderContention) {
   workers.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&log, t] {
-      const std::string name = "w" + std::to_string(t);
+      trace::Event ev;
+      ev.name = "w";
+      ev.lane = static_cast<std::uint32_t>(t);
+      ev.dur_ms = 1.0;
       for (int i = 0; i < kOpsPerThread; ++i) {
-        log.record(name, static_cast<double>(i), 1.0);
+        ev.id = 0;  // record() hands out a fresh id
+        ev.t_ms = static_cast<double>(i);
+        log.record(ev);
       }
     });
   }
@@ -169,8 +174,8 @@ TEST(ConcurrencyStress, TraceLogWraparoundUnderContention) {
   std::thread reader([&log, &stop, &enabled_reads] {
     while (!stop.load(std::memory_order_relaxed)) {
       if (log.enabled()) ++enabled_reads;  // races with flapper unless atomic
-      (void)log.spans();
-      (void)log.snapshot();
+      (void)log.events();
+      (void)log.chrome_trace();
       (void)log.dropped();
     }
   });
@@ -188,8 +193,8 @@ TEST(ConcurrencyStress, TraceLogWraparoundUnderContention) {
   // Every record either sits in the buffer or was counted as dropped.
   const std::uint64_t total =
       static_cast<std::uint64_t>(kThreads) * kOpsPerThread;
-  EXPECT_EQ(log.spans().size() + log.dropped(), total);
-  EXPECT_LE(log.spans().size(), 64u);
+  EXPECT_EQ(log.events().size() + log.dropped(), total);
+  EXPECT_LE(log.events().size(), 64u);
   EXPECT_GE(enabled_reads, 0u);
 
   log.set_enabled(was_enabled);

@@ -355,11 +355,8 @@ TEST(TraceLog, RecordsSpansWhenEnabledAndBoundsCapacity) {
   for (int i = 0; i < 6; ++i) {
     trace::ScopedTimer t(h, "span");
   }
-  EXPECT_EQ(log.spans().size(), 4u);
+  EXPECT_EQ(log.events().size(), 4u);
   EXPECT_EQ(log.dropped(), 2u);
-  const json::Value snap = log.snapshot();
-  EXPECT_DOUBLE_EQ(snap.at("dropped").as_number(), 2.0);
-  EXPECT_EQ(snap.at("spans").as_array().size(), 4u);
   log.set_enabled(false);
   log.clear();
 }

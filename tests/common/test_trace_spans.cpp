@@ -3,9 +3,11 @@
 // order, virtual-only filtering, thread-count invariance).
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -38,6 +40,20 @@ struct LogFixture {
   }
 };
 
+/// A virtual-domain instant under the current open span, with one attr.
+Event virtual_instant(const char* name, double t_ms, const char* key,
+                      double value) {
+  Event ev;
+  ev.name = name;
+  ev.t_ms = t_ms;
+  ev.parent = current_parent();
+  ev.domain = Domain::kVirtual;
+  ev.instant = true;
+  ev.attrs[0] = Attr{key, value};
+  ev.n_attrs = 1;
+  return ev;
+}
+
 TEST(SpanTree, NestedTimersLinkChildToParent) {
   LogFixture fx;
   std::uint64_t outer_id = 0, inner_id = 0;
@@ -55,13 +71,13 @@ TEST(SpanTree, NestedTimersLinkChildToParent) {
   }
   EXPECT_EQ(current_parent(), 0u);
 
-  const auto spans = fx.log.spans();
+  const auto spans = fx.log.events();
   ASSERT_EQ(spans.size(), 2u);
   // RAII order: the inner span is recorded first (it stops first).
-  EXPECT_EQ(spans[0].name, "inner");
+  EXPECT_STREQ(spans[0].name, "inner");
   EXPECT_EQ(spans[0].id, inner_id);
   EXPECT_EQ(spans[0].parent, outer_id);
-  EXPECT_EQ(spans[1].name, "outer");
+  EXPECT_STREQ(spans[1].name, "outer");
   EXPECT_EQ(spans[1].parent, 0u);
   // Ids are handed out in start order: the parent started first.
   EXPECT_LT(spans[1].id, spans[0].id);
@@ -77,9 +93,9 @@ TEST(SpanTree, ThreeLevelTreeReconstructsFromTheLog) {
     }
     { ScopedTimer sibling(test_hist(), "sibling"); }
   }
-  const auto spans = fx.log.spans();
+  const auto spans = fx.log.events();
   ASSERT_EQ(spans.size(), 4u);
-  std::map<std::string, Span> by_name;
+  std::map<std::string, Event> by_name;
   for (const auto& s : spans) by_name[s.name] = s;
   EXPECT_EQ(by_name.at("root").parent, 0u);
   EXPECT_EQ(by_name.at("mid").parent, by_name.at("root").id);
@@ -97,9 +113,9 @@ TEST(SpanTree, UnnamedTimersTakeNoIdAndDoNotParent) {
     // parents under "named".
     { ScopedTimer child(test_hist(), "child"); }
   }
-  const auto spans = fx.log.spans();
+  const auto spans = fx.log.events();
   ASSERT_EQ(spans.size(), 2u);
-  std::map<std::string, Span> by_name;
+  std::map<std::string, Event> by_name;
   for (const auto& s : spans) by_name[s.name] = s;
   EXPECT_EQ(by_name.at("child").parent, by_name.at("named").id);
 }
@@ -108,16 +124,15 @@ TEST(SpanTree, AttributesSurviveIntoTheLogAndTheExport) {
   LogFixture fx;
   {
     ScopedTimer t(test_hist(), "attributed");
-    t.attr("block", 7).attr("ratio", 0.5).attr("reason", "duplicate");
+    t.attr("block", 7).attr("ratio", 0.5);
   }
-  const auto spans = fx.log.spans();
+  const auto spans = fx.log.events();
   ASSERT_EQ(spans.size(), 1u);
-  ASSERT_EQ(spans[0].attrs.size(), 3u);
-  EXPECT_EQ(spans[0].attrs[0].key, "block");
-  EXPECT_EQ(spans[0].attrs[0].i, 7);
-  EXPECT_EQ(spans[0].attrs[1].key, "ratio");
-  EXPECT_DOUBLE_EQ(spans[0].attrs[1].d, 0.5);
-  EXPECT_EQ(spans[0].attrs[2].s, "duplicate");
+  ASSERT_EQ(spans[0].n_attrs, 2u);
+  EXPECT_STREQ(spans[0].attrs[0].key, "block");
+  EXPECT_DOUBLE_EQ(spans[0].attrs[0].value, 7.0);
+  EXPECT_STREQ(spans[0].attrs[1].key, "ratio");
+  EXPECT_DOUBLE_EQ(spans[0].attrs[1].value, 0.5);
 
   const json::Value doc = fx.log.chrome_trace();
   const auto& events = doc.at("traceEvents").as_array();
@@ -125,7 +140,6 @@ TEST(SpanTree, AttributesSurviveIntoTheLogAndTheExport) {
   const json::Value& args = events[0].at("args");
   EXPECT_DOUBLE_EQ(args.at("block").as_number(), 7.0);
   EXPECT_DOUBLE_EQ(args.at("ratio").as_number(), 0.5);
-  EXPECT_EQ(args.at("reason").as_string(), "duplicate");
 }
 
 TEST(LaneAnnotation, LaneScopeInstallsLaneAndAmbientParent) {
@@ -140,7 +154,7 @@ TEST(LaneAnnotation, LaneScopeInstallsLaneAndAmbientParent) {
   EXPECT_EQ(current_lane(), 0u);
   EXPECT_EQ(current_parent(), 0u);
 
-  const auto spans = fx.log.spans();
+  const auto spans = fx.log.events();
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].lane, 3u);
   EXPECT_EQ(spans[0].parent, 42u);
@@ -160,11 +174,11 @@ TEST(LaneAnnotation, ParallelForChildrenParentUnderTheSubmittingStage) {
         },
         4);
   }
-  const auto spans = fx.log.spans();
+  const auto spans = fx.log.events();
   ASSERT_EQ(spans.size(), 33u);
   std::size_t jobs = 0;
   for (const auto& s : spans) {
-    if (s.name != "job") continue;
+    if (std::string_view(s.name) != "job") continue;
     ++jobs;
     // Whether a chunk ran on the caller (lane 0) or a borrowed worker
     // (lane 1..3), the span hangs off the stage that spawned the fan-out.
@@ -177,15 +191,17 @@ TEST(LaneAnnotation, ParallelForChildrenParentUnderTheSubmittingStage) {
 TEST(Wraparound, RingKeepsNewestSpansAndCountsDrops) {
   LogFixture fx;
   fx.log.set_capacity(4);
-  for (int i = 0; i < 10; ++i) {
-    ScopedTimer t(test_hist(), "s" + std::to_string(i));
+  static const char* const kNames[] = {"s0", "s1", "s2", "s3", "s4",
+                                       "s5", "s6", "s7", "s8", "s9"};
+  for (const char* name : kNames) {
+    ScopedTimer t(test_hist(), name);
   }
-  const auto spans = fx.log.spans();
+  const auto spans = fx.log.events();
   ASSERT_EQ(spans.size(), 4u);
   EXPECT_EQ(fx.log.dropped(), 6u);
   // Oldest-first eviction: the survivors are the last four, in order.
-  EXPECT_EQ(spans[0].name, "s6");
-  EXPECT_EQ(spans[3].name, "s9");
+  EXPECT_STREQ(spans[0].name, "s6");
+  EXPECT_STREQ(spans[3].name, "s9");
 }
 
 TEST(Wraparound, ExportNeverEmitsDanglingParentRefs) {
@@ -197,7 +213,7 @@ TEST(Wraparound, ExportNeverEmitsDanglingParentRefs) {
     // ring then holds children whose parent span was never retained, plus a
     // root whose children were partly evicted.
     for (int i = 0; i < 5; ++i) {
-      ScopedTimer t(test_hist(), "child" + std::to_string(i));
+      ScopedTimer t(test_hist(), "child");
     }
   }
   const json::Value doc = fx.log.chrome_trace();
@@ -229,7 +245,7 @@ TEST(ChromeTrace, CanonicalOrderDenseIdsAndSchema) {
       t += 5.0;
     }
   }
-  fx.log.instant("marker", 103.0, Domain::kVirtual, {Attr("k", 1)});
+  fx.log.record(virtual_instant("marker", 103.0, "k", 1));
 
   const json::Value doc = fx.log.chrome_trace();
   EXPECT_EQ(doc.at("displayTimeUnit").as_string(), "ms");
@@ -301,8 +317,7 @@ std::string run_mixed_workload(std::size_t threads) {
   for (int attempt = 0; attempt < 3; ++attempt) {
     ScopedTimer a(test_hist(), clock, "virtual-attempt");
     a.attr("attempt", attempt);
-    log.instant("virtual-event", t + 0.25, Domain::kVirtual,
-                {Attr("attempt", attempt)});
+    log.record(virtual_instant("virtual-event", t + 0.25, "attempt", attempt));
     t += 10.0;
   }
   const std::string out = log.chrome_trace(true).dump(0);
@@ -331,6 +346,41 @@ TEST(ChromeTrace, DroppedCountIsReportedInOtherData) {
   }
   const json::Value doc = fx.log.chrome_trace();
   EXPECT_DOUBLE_EQ(doc.at("otherData").at("dropped").as_number(), 3.0);
+}
+
+TEST(ChromeTrace, VirtualFloodKeepsEveryWallSpanAndWarnsOnDrops) {
+  LogFixture fx;
+  fx.log.set_capacity(8);
+  const std::string path = ::testing::TempDir() + "vkey_trace_flood.json";
+  { ScopedTimer t(test_hist(), "wall-before"); }
+
+  // No drops yet: the export is silent.
+  ::testing::internal::CaptureStderr();
+  ASSERT_TRUE(fx.log.write_chrome_trace(path));
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+
+  // Flood the virtual ring (flight events in a gateway run) far past its
+  // capacity, with wall spans on either side of the flood.
+  for (int i = 0; i < 30; ++i) {
+    fx.log.record(virtual_instant("flight.frame-tx", i, "i", i));
+  }
+  { ScopedTimer t(test_hist(), "wall-after"); }
+
+  const json::Value doc = fx.log.chrome_trace();
+  std::size_t wall = 0, virt = 0;
+  for (const auto& ev : doc.at("traceEvents").as_array()) {
+    (ev.at("cat").as_string() == "wall" ? wall : virt) += 1;
+  }
+  EXPECT_EQ(wall, 2u);
+  EXPECT_EQ(virt, 8u);
+  EXPECT_DOUBLE_EQ(doc.at("otherData").at("dropped").as_number(), 22.0);
+
+  ::testing::internal::CaptureStderr();
+  ASSERT_TRUE(fx.log.write_chrome_trace(path));
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("22 event(s) dropped"), std::string::npos) << err;
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1);
+  std::remove(path.c_str());
 }
 
 }  // namespace

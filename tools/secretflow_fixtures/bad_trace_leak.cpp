@@ -1,4 +1,4 @@
-// Known-bad fixture: key material attached to trace spans and instants.
+// Known-bad fixture: key material attached to trace spans and events.
 // Not compiled — consumed by `vkey_secretflow.py --self-test` only. Each
 // `// expect:` annotation names the rule the analyzer must fire on that
 // exact line; the self-test fails on misses AND on extra findings.
@@ -15,9 +15,10 @@ void leak_span_attr(trace::ScopedTimer& t, const SecretBuffer& session_key) {
   t.attr("okm_len", 32);  // length literal only: must stay silent
 }
 
-void leak_instant(trace::TraceLog& log, double t_ms) {
+void leak_event(trace::TraceLog& log, double t_ms) {
   const auto confirm_key = derive_subkey(prk, "confirm", 16);
-  log.instant("confirm", t_ms, confirm_key);  // expect: secret-to-trace
+  const auto ev = event_of("confirm", t_ms, confirm_key);
+  log.record(ev);  // expect: secret-to-trace
 }
 
 }  // namespace fixture

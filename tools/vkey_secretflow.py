@@ -39,7 +39,7 @@ propagation
     mentions a tainted identifier or a source call, the left-hand side is
     tainted. Taint is scoped by brace depth (function-local).
 sinks (rule ids)
-    secret-to-trace             ScopedTimer::attr, TraceLog::instant/record
+    secret-to-trace             ScopedTimer::attr, TraceLog::record
     secret-to-flight-recorder   FlightRecorder::record
     secret-to-metrics           Histogram::observe / Gauge::set
     secret-to-telemetry         telemetry Sampler::annotate header side-channel
@@ -140,8 +140,12 @@ SINKS = [
     ("secret-to-trace", re.compile(r"\.\s*attr\s*\("),
      "trace span attributes are exported in chrome-trace dumps; attach "
      "lengths or digest *indices*, never key bytes"),
-    ("secret-to-trace", re.compile(r"\binstant\s*\("),
-     "trace instants are exported in chrome-trace dumps"),
+    # Before the flight-recorder rule, which would otherwise claim the
+    # TraceLog's record() by its name alone.
+    ("secret-to-trace",
+     re.compile(r"\b(?:log|TraceLog\s*::\s*global\s*\(\s*\))"
+                r"\s*\.\s*record\s*\("),
+     "trace events are exported in chrome-trace dumps"),
     ("secret-to-flight-recorder", re.compile(r"(?:\.|->)\s*record\s*\("),
      "flight-recorder events travel with AttemptReport and are dumped on "
      "failure; record outcomes, never key bytes"),
